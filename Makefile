@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke bench bench-json bench-gate golden cover
+.PHONY: ci vet build test race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke perfbench-check bench bench-json bench-gate golden cover
 
 # ci is the full gate: static checks, build, the test suite, a short
 # fuzz smoke over every fuzz target, the race-enabled pass over the
@@ -9,12 +9,13 @@ GO ?= go
 # closed-loop controller must beat every surviving fixed operating
 # point and regain the top rung on budget), a single-iteration pass
 # over the ProcessFrame benchmarks (so the telemetry-overhead path
-# compiles and runs), and the benchmark trajectory gate against the
+# compiles and runs), the perfbench module's vet and self-tests, and
+# the benchmark trajectory gate against the
 # committed bench/BENCH_*.json baseline. Budget: ~10 minutes on a
 # laptop (adapt-soak simulates 32 multi-second sessions and dominates).
 # The full-suite race run stays available as `make race` but is too
 # slow for the default gate.
-ci: vet build test fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak bench bench-gate
+ci: vet build test fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak perfbench-check bench bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -83,6 +84,16 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrontEndDifferential$$' -fuzztime=5s ./internal/modem/
 	$(GO) test -run='^$$' -fuzz='^FuzzCalibrationTLV$$' -fuzztime=5s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzCalSnapshot$$' -fuzztime=5s ./internal/packet/
+
+# perfbench-check vets and self-tests the nested perfbench module (the
+# repo benchmark, BENCHMARK.json). The root `go build ./...` skips
+# nested modules, yet perfbench imports metrics, modem, camera, fault
+# and linkstats, so without this a refactor that breaks it would fail
+# only at benchmark time. It runs in perfbench/run.sh's offline
+# environment: no module downloads, no toolchain switch.
+perfbench-check:
+	cd perfbench && export GOPROXY=off GOFLAGS=-mod=readonly GOTOOLCHAIN=local GOWORK=off && \
+		$(GO) vet . && $(GO) test -count=1 .
 
 # golden regenerates the committed golden-frame digests under
 # internal/modem/testdata/golden/ from the scenario definitions in

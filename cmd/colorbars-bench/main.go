@@ -37,16 +37,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"colorbars/internal/camera"
 	"colorbars/internal/csk"
 	"colorbars/internal/experiments"
 	"colorbars/internal/fault"
 	"colorbars/internal/fault/soak"
+	"colorbars/internal/link"
 	"colorbars/internal/metrics"
+	"colorbars/internal/modem"
 	"colorbars/internal/telemetry"
 )
 
@@ -347,31 +351,47 @@ func runAblations(duration float64, seed int64) error {
 	return nil
 }
 
-// runPipeline measures receiver-side decode scaling: the same CSK-32
-// @ 4 kHz capture decoded serially and through the concurrent
-// pipeline at 1, 2 and 4 workers. Decode wall time comes from each
-// run's metrics.decode span; the goodput column demonstrates the
-// byte-identical guarantee (every row must match).
+// runPipeline measures receiver-side decode scaling: one CSK-32 @
+// 4 kHz clip, captured once through internal/link, decoded serially
+// and through the concurrent pipeline at 1, 2 and 4 workers, each on a
+// fresh receiver. Decode time is the wall time of the decode alone —
+// capture is outside the timed region — and the block digest
+// demonstrates the byte-identical guarantee (every row must match).
 func runPipeline(duration float64, seed int64) error {
 	fmt.Println("== Pipeline scaling: decode time vs workers (Nexus 5, 32-CSK @ 4 kHz) ==")
-	base := metrics.LinkParams{
-		Order: csk.CSK32, SymbolRate: 4000, Profile: camera.Nexus5(),
-		WhiteFraction: 0.2, Duration: duration, Seed: seed,
+	cfg := link.Config{
+		Name:    "bench.pipeline",
+		Point:   link.Point{Order: csk.CSK32, SymbolRate: 4000, WhiteFraction: 0.2},
+		Profile: camera.Nexus5(),
+		Seed:    seed,
+		Tx:      modem.TxConfig{DriveJitter: metrics.DefaultDriveJitter},
 	}
-	fmt.Printf("  %-10s %14s %14s %12s\n", "Workers", "Decode (s)", "Goodput (bps)", "SER")
+	l, err := link.New(cfg)
+	if err != nil {
+		return err
+	}
+	if err := l.Broadcast(rand.New(rand.NewSource(seed)), link.MessageBlocks, duration); err != nil {
+		return err
+	}
+	clip := l.Clip(int(duration * cfg.Profile.FrameRate))
+	fmt.Printf("  %-22s %14s %12s  %s\n", "Workers (0 = serial)", "Decode (s)", "Frames/s", "Block digest")
 	for _, workers := range []int{0, 1, 2, 4} {
-		p := base
-		p.Workers = workers
-		res, err := metrics.Run(p)
+		cfg.Workers = workers
+		l, err := link.New(cfg)
 		if err != nil {
 			return err
 		}
-		decode := res.Telemetry.Histograms["metrics.decode"].Sum
-		label := "serial"
-		if workers > 0 {
-			label = fmt.Sprintf("%d", workers)
+		start := time.Now()
+		blocks, err := l.Decode(clip)
+		decode := time.Since(start).Seconds()
+		if err != nil {
+			return err
 		}
-		fmt.Printf("  %-10s %14.3f %14.0f %12.4f\n", label, decode, res.GoodputBps, res.SER)
+		d := link.NewDigest()
+		for _, b := range blocks {
+			d.Add(b.Recovered, b.Data)
+		}
+		fmt.Printf("  %-22d %14.3f %12.1f  %016x\n", workers, decode, float64(len(clip))/decode, d.Sum64())
 	}
 	return nil
 }

@@ -3,21 +3,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"colorbars"
 	"colorbars/internal/camera"
-	"colorbars/internal/coding"
 	"colorbars/internal/fault"
 	"colorbars/internal/fault/soak"
 	"colorbars/internal/ingest"
 	"colorbars/internal/ingest/loadgen"
+	"colorbars/internal/link"
 	"colorbars/internal/linkadapt"
 	"colorbars/internal/linkstats"
 	"colorbars/internal/metrics"
-	"colorbars/internal/modem"
 	"colorbars/internal/telemetry"
 )
 
@@ -139,62 +139,34 @@ func runPerf(duration float64, seed int64) error {
 }
 
 // benchCell measures one operating point. The decode benchmark cycles
-// a pre-captured clean-link video through one receiver — steady-state
-// per-frame cost, no capture or allocation of the frame stream inside
-// the timed loop. The receiver is built at the modem layer (the same
-// construction the facade performs) and every delivered block batch is
-// recycled, so the loop measures the link-layer decode path itself —
-// which is expected to run allocation-free — rather than the
-// application-layer message assembler. The SER comes from a separate
-// ground-truth metrics run at the same point (the linkstats collector
-// compares every recovered block's raw symbols against the transmitted
-// stream).
+// a clip captured once from a clean erasure-sized link (internal/link)
+// through that link's receiver — steady-state per-frame cost, no
+// capture or allocation of the frame stream inside the timed loop.
+// Every delivered block batch is recycled, so the loop measures the
+// link-layer decode path itself, which is expected to run
+// allocation-free. The SER comes from a separate ground-truth metrics
+// run at the same point (the linkstats collector compares every
+// recovered block's raw symbols against the transmitted stream).
 func benchCell(order colorbars.Order, rate, duration float64, seed int64) (linkstats.BenchEntry, error) {
 	prof := camera.Nexus5()
-	cfg := colorbars.Config{Order: order, SymbolRate: rate, WhiteFraction: 0.2}
-	tx, err := colorbars.NewTransmitter(cfg)
+	l, err := link.New(link.Config{
+		Name:    "bench",
+		Point:   link.Point{Order: order, SymbolRate: rate, WhiteFraction: 0.2},
+		Profile: prof,
+		Sizing:  link.ErasureSizing,
+		Seed:    seed,
+	})
 	if err != nil {
 		return linkstats.BenchEntry{}, err
 	}
-	wave, err := tx.Broadcast([]byte("colorbars benchmark trajectory payload"), duration)
-	if err != nil {
+	if err := l.Broadcast(rand.New(rand.NewSource(seed)), link.MessageBlocks, duration); err != nil {
 		return linkstats.BenchEntry{}, err
 	}
-	cam := colorbars.NewCamera(prof, seed)
-	frames := cam.CaptureVideo(wave, 0, int(duration*prof.FrameRate))
+	frames := l.Clip(int(duration * prof.FrameRate))
 	if len(frames) == 0 {
 		return linkstats.BenchEntry{}, fmt.Errorf("no frames captured")
 	}
-	// The same erasure-aware code sizing the facade resolves from this
-	// Config — the receiver must agree with the transmitted waveform.
-	params := coding.Params{
-		SymbolRate:   rate,
-		FrameRate:    prof.FrameRate,
-		LossRatio:    0.38,
-		Order:        order,
-		DataFraction: 1 - cfg.WhiteFraction,
-	}
-	code, err := params.LinkCodeErasure()
-	if err != nil {
-		return linkstats.BenchEntry{}, err
-	}
-	tel := telemetry.NewRegistry()
-	ls := linkstats.NewCollector(linkstats.Config{
-		Points:        int(order),
-		BitsPerSymbol: order.BitsPerSymbol(),
-		Telemetry:     tel,
-	})
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:         order,
-		SymbolRate:    rate,
-		WhiteFraction: cfg.WhiteFraction,
-		Code:          code,
-		Telemetry:     tel,
-		LinkStats:     ls,
-	})
-	if err != nil {
-		return linkstats.BenchEntry{}, err
-	}
+	rx := l.Rx
 
 	// Min of 5 one-second benchmark runs: on a shared host, load
 	// spikes last whole seconds, so three samples can all land in one
@@ -285,22 +257,22 @@ func benchIngestP99(seed int64) (linkstats.BenchEntry, error) {
 // cells cannot see. The handicap divides goodput (its bad direction is
 // down) so `-handicap 2 -bench-gate` still proves the gate trips.
 func benchChaosGoodput(seed int64) (linkstats.BenchEntry, error) {
-	m, err := metrics.Run(metrics.LinkParams{
-		Adaptive: true,
-		Profile:  camera.Nexus5(),
-		Duration: soak.AdaptDuration,
+	r, err := linkadapt.RunSession(linkadapt.SessionParams{
 		Seed:     seed,
-		Fault: fault.Schedule{Events: []fault.Event{{
+		Duration: soak.AdaptDuration,
+		Profile:  camera.Nexus5(),
+		Schedule: fault.Schedule{Events: []fault.Event{{
 			Class:     fault.Occlusion,
 			Start:     soak.AdaptFaultStart,
 			Duration:  soak.AdaptFaultDuration,
 			Magnitude: 0.6,
 		}}},
+		Telemetry: telemetry.Process().NewChild(),
 	})
 	if err != nil {
 		return linkstats.BenchEntry{}, err
 	}
-	return linkstats.BenchEntry{GoodputBps: m.GoodputBps / benchHandicap}, nil
+	return linkstats.BenchEntry{GoodputBps: r.GoodputBPS / benchHandicap}, nil
 }
 
 // benchDenseGoodput measures the dense-ladder adaptive link's goodput

@@ -105,66 +105,52 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rx, err := colorbars.NewReceiver(cfg)
-	if err != nil {
-		return err
-	}
-	wave, err := tx.Broadcast([]byte(*message), *duration)
-	if err != nil {
-		return err
-	}
-
 	resolved := tx.Config()
 	fmt.Printf("link: %v @ %.0f Hz, white fraction %.2f, device %s, seed %d\n",
 		resolved.Order, resolved.SymbolRate, resolved.WhiteFraction, prof.Name, *seed)
 
-	if *dumpWave != "" {
-		if err := dumpWaveformPNG(wave, *dumpWave); err != nil {
-			return err
-		}
-		fmt.Printf("waveform stripe written to %s\n", *dumpWave)
-	}
-
 	// Every stochastic component derives its own stream from the one
 	// root seed, so unrelated components never share RNG state.
-	cam := colorbars.NewCamera(prof, fault.DeriveSeed(*seed, "sim.camera"))
-	frames := int(*duration * prof.FrameRate)
-	var received *colorbars.Message
-	var firstAt float64
-	for i := 0; i < frames; i++ {
-		f := cam.CaptureVideo(wave, float64(i)*prof.FramePeriod(), 1)[0]
-		if i == 0 && *dumpFrame != "" {
+	camSeed := fault.DeriveSeed(*seed, "sim.camera")
+	if *dumpWave != "" || *dumpFrame != "" {
+		wave, err := tx.Broadcast([]byte(*message), *duration)
+		if err != nil {
+			return err
+		}
+		if *dumpWave != "" {
+			if err := dumpWaveformPNG(wave, *dumpWave); err != nil {
+				return err
+			}
+			fmt.Printf("waveform stripe written to %s\n", *dumpWave)
+		}
+		if *dumpFrame != "" {
+			// A camera with the session's seed captures the session's
+			// first frame exactly.
+			f := colorbars.NewCamera(prof, camSeed).CaptureVideo(wave, 0, 1)[0]
 			if err := dumpFramePNG(f, *dumpFrame); err != nil {
 				return err
 			}
 			fmt.Printf("frame written to %s\n", *dumpFrame)
 		}
-		if msgs := rx.ProcessFrame(f); len(msgs) > 0 && received == nil {
-			received = &msgs[0]
-			firstAt = float64(i+1) * prof.FramePeriod()
-		}
-	}
-	for _, m := range rx.Flush() {
-		if received == nil {
-			m := m
-			received = &m
-			firstAt = *duration
-		}
 	}
 
-	s := rx.Stats()
+	res, err := colorbars.Simulate(cfg, prof, []byte(*message), *duration, camSeed)
+	if err != nil {
+		return err
+	}
+	s := res.Stats
 	fmt.Printf("frames: %d   symbols in: %d (data %d, white %d, off %d)\n",
 		s.Frames, s.SymbolsIn, s.DataSymbolsIn, s.WhiteSymbolsIn, s.OffSymbolsIn)
 	fmt.Printf("packets: %d data, %d calibration, %d discarded\n",
 		s.DataPackets, s.CalibrationPackets, s.DiscardedPackets)
 	fmt.Printf("blocks: %d ok, %d failed\n", s.BlocksOK, s.BlocksFailed)
-	h := rx.Health()
+	h := res.Health
 	fmt.Printf("link health: %.3f (%s), mean margin %.1f\n", h.Score, h.Reason, h.MeanMargin)
-	if received == nil {
+	if res.Received == nil {
 		return fmt.Errorf("message NOT recovered within the capture window")
 	}
 	fmt.Printf("message recovered after %.2f s (%d blocks): %q\n",
-		firstAt, received.Blocks, received.Data)
+		res.RecoveredAt, res.Received.Blocks, res.Received.Data)
 	return nil
 }
 

@@ -36,11 +36,11 @@ import (
 
 	"colorbars/internal/camera"
 	"colorbars/internal/cie"
-	"colorbars/internal/coding"
 	"colorbars/internal/colorspace"
 	"colorbars/internal/csk"
 	"colorbars/internal/flicker"
 	"colorbars/internal/led"
+	"colorbars/internal/link"
 	"colorbars/internal/linkstats"
 	"colorbars/internal/modem"
 	"colorbars/internal/packet"
@@ -190,17 +190,12 @@ func autoWhiteFraction(order Order, rate float64) float64 {
 
 // code builds the link's RS code.
 func (c Config) code() (*rs.Code, error) {
-	params := coding.Params{
-		SymbolRate:   c.SymbolRate,
-		FrameRate:    c.FrameRate,
-		LossRatio:    c.TargetLossRatio,
-		Order:        c.Order,
-		DataFraction: 1 - c.WhiteFraction,
-	}
+	sizing := link.ErasureSizing
 	if c.PaperSizing {
-		return params.LinkCode()
+		sizing = link.PaperSizing
 	}
-	return params.LinkCodeErasure()
+	pt := link.Point{Order: c.Order, SymbolRate: c.SymbolRate, WhiteFraction: c.WhiteFraction}
+	return sizing.Code(pt, 1-c.WhiteFraction, c.FrameRate, c.TargetLossRatio)
 }
 
 // --- application-layer message protocol ---
@@ -430,30 +425,37 @@ type Receiver struct {
 // NewReceiver builds a receiver for the link configuration.
 func NewReceiver(cfg Config) (*Receiver, error) {
 	cfg = cfg.withDefaults()
-	code, err := cfg.code()
-	if err != nil {
-		return nil, err
-	}
-	tel := telemetry.Process().NewChild()
-	ls := linkstats.NewCollector(linkstats.Config{
-		Points:        int(cfg.Order),
-		BitsPerSymbol: cfg.Order.BitsPerSymbol(),
-		Telemetry:     tel,
-	})
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:              cfg.Order,
-		SymbolRate:         cfg.SymbolRate,
-		WhiteFraction:      cfg.WhiteFraction,
-		Code:               code,
-		Triangle:           cie.SRGBTriangle,
-		Telemetry:          tel,
-		LinkStats:          ls,
-		TrackAnnouncedRung: cfg.TrackAnnouncedRung,
-	})
+	rx, ls, err := cfg.receiver()
 	if err != nil {
 		return nil, err
 	}
 	return &Receiver{cfg: cfg, rx: rx, ls: ls, asm: newAssembler()}, nil
+}
+
+// receiver builds the link-layer receiver for c (defaults resolved)
+// and the link-quality collector it reports into.
+func (c Config) receiver() (*modem.Receiver, *linkstats.Collector, error) {
+	code, err := c.code()
+	if err != nil {
+		return nil, nil, err
+	}
+	tel := telemetry.Process().NewChild()
+	ls := linkstats.NewCollector(linkstats.Config{
+		Points:        int(c.Order),
+		BitsPerSymbol: c.Order.BitsPerSymbol(),
+		Telemetry:     tel,
+	})
+	rx, err := modem.NewReceiver(modem.RxConfig{
+		Order:              c.Order,
+		SymbolRate:         c.SymbolRate,
+		WhiteFraction:      c.WhiteFraction,
+		Code:               code,
+		Triangle:           cie.SRGBTriangle,
+		Telemetry:          tel,
+		LinkStats:          ls,
+		TrackAnnouncedRung: c.TrackAnnouncedRung,
+	})
+	return rx, ls, err
 }
 
 // Config returns the link configuration (with defaults resolved).

@@ -38,6 +38,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// Direct is the lossless path: unit gain and no ambient light, so the
+// camera images the LED's own radiance bit for bit.
+func Direct() Config {
+	return Config{Distance: 1, ReferenceDistance: 1}
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Distance <= 0 {

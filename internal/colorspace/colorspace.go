@@ -272,11 +272,6 @@ func LinearRGBToLab(c RGB) Lab {
 	return XYZToLab(LinearRGBToXYZ(c), D65)
 }
 
-// LabToLinearRGB is the inverse of LinearRGBToLab.
-func LabToLinearRGB(c Lab) RGB {
-	return XYZToLinearRGB(LabToXYZ(c, D65))
-}
-
 func clamp01(v float64) float64 {
 	switch {
 	case v < 0:

@@ -276,14 +276,6 @@ func (o Order) AppendUnpack(dst []byte, symbols []int, byteLen int) ([]byte, err
 	return dst, nil
 }
 
-// Modulate packs a byte stream into symbol indices. See Order.Pack.
-func (c *Constellation) Modulate(data []byte) []int { return c.order.Pack(data) }
-
-// Demodulate unpacks symbol indices back into bytes. See Order.Unpack.
-func (c *Constellation) Demodulate(symbols []int, byteLen int) ([]byte, error) {
-	return c.order.Unpack(symbols, byteLen)
-}
-
 // --- constellation design ---
 
 // designCache memoizes finished point layouts per (size, triangle,

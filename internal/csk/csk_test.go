@@ -221,15 +221,16 @@ func TestReferencesDistinctInAB(t *testing.T) {
 	}
 }
 
+// Modulation maps bytes to symbol indices with Order.Pack and back
+// with Order.Unpack.
 func TestModulateDemodulateRoundTrip(t *testing.T) {
 	for _, o := range Orders {
-		c := MustNew(o, cie.SRGBTriangle)
 		f := func(data []byte) bool {
-			syms := c.Modulate(data)
+			syms := o.Pack(data)
 			if len(syms) != o.SymbolsPerBytes(len(data)) {
 				return false
 			}
-			back, err := c.Demodulate(syms, len(data))
+			back, err := o.Unpack(syms, len(data))
 			return err == nil && bytes.Equal(back, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -243,8 +244,7 @@ func TestModulateSymbolRange(t *testing.T) {
 	data := make([]byte, 100)
 	rng.Read(data)
 	for _, o := range Orders {
-		c := MustNew(o, cie.SRGBTriangle)
-		for _, s := range c.Modulate(data) {
+		for _, s := range o.Pack(data) {
 			if s < 0 || s >= int(o) {
 				t.Fatalf("%v: symbol %d out of range", o, s)
 			}
@@ -253,11 +253,10 @@ func TestModulateSymbolRange(t *testing.T) {
 }
 
 func TestDemodulateErrors(t *testing.T) {
-	c := MustNew(CSK8, cie.SRGBTriangle)
-	if _, err := c.Demodulate([]int{0, 1}, 10); err == nil {
+	if _, err := CSK8.Unpack([]int{0, 1}, 10); err == nil {
 		t.Error("expected too-few-symbols error")
 	}
-	if _, err := c.Demodulate([]int{0, 9, 0}, 1); err == nil {
+	if _, err := CSK8.Unpack([]int{0, 9, 0}, 1); err == nil {
 		t.Error("expected out-of-range symbol error")
 	}
 }
@@ -306,14 +305,13 @@ func BenchmarkNew16(b *testing.B) {
 	}
 }
 
-func BenchmarkModulate(b *testing.B) {
-	c := MustNew(CSK8, cie.SRGBTriangle)
+func BenchmarkPack(b *testing.B) {
 	data := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(data)
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Modulate(data)
+		_ = CSK8.Pack(data)
 	}
 }
 

@@ -152,17 +152,6 @@ func (s Schedule) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Of returns the events of one class, in schedule order.
-func (s Schedule) Of(c Class) []Event {
-	var out []Event
-	for _, e := range s.Events {
-		if e.Class == c {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // SettleTimes returns each event's settle time, ascending — the
 // checkpoints after which a soak expects the receiver to re-acquire.
 func (s Schedule) SettleTimes() []float64 {
@@ -278,9 +267,6 @@ func New(cfg Config) *Injector {
 	}
 	return in
 }
-
-// Schedule returns the injector's impairment timeline.
-func (in *Injector) Schedule() Schedule { return in.cfg.Schedule }
 
 // WrapSource wraps a radiance source with the schedule's source-level
 // impairments (occlusion, ambient, AWB drift, noise bursts, clock

@@ -14,21 +14,15 @@ package soak
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"colorbars/internal/camera"
-	"colorbars/internal/channel"
-	"colorbars/internal/cie"
-	"colorbars/internal/coding"
 	"colorbars/internal/csk"
 	"colorbars/internal/fault"
+	"colorbars/internal/link"
 	"colorbars/internal/linkstats"
 	"colorbars/internal/modem"
-	"colorbars/internal/pipeline"
 	"colorbars/internal/telemetry"
 )
 
@@ -116,10 +110,11 @@ func (r Result) String() string {
 		r.Frames, r.BlocksOK, r.BlocksOK+r.BlocksFailed, r.Resyncs, r.StaleCalibrations, r.DegradedBlocks, r.WorstRecoveryFrames, r.Digest)
 }
 
-// Run executes one soak. It builds the same paper-sized link as
-// internal/metrics (erasure-aware RS sizing, ~5 calibration packets
-// per second), injects the impairment schedule, decodes, and scores
-// recovery.
+// Run executes one soak: it builds the link through internal/link,
+// injects the impairment schedule, decodes, and scores recovery. The
+// link is not the one internal/metrics measures: it uses erasure-aware
+// RS sizing, an ideal (jitter-free) LED driver and a payload drawn
+// from a soak-derived seed (DESIGN.md §16).
 func Run(p Params) (Result, error) {
 	if p.Duration <= 0 {
 		return Result{}, fmt.Errorf("soak: duration %v must be positive", p.Duration)
@@ -145,167 +140,66 @@ func Run(p Params) (Result, error) {
 		schedule = fault.RandomSchedule(fault.DeriveSeed(p.Seed, "soak.schedule"), p.Duration, p.Classes...)
 	}
 
-	params := coding.Params{
-		SymbolRate:   p.SymbolRate,
-		FrameRate:    p.Profile.FrameRate,
-		LossRatio:    p.Profile.LossRatio(),
-		Order:        p.Order,
-		DataFraction: 0.8,
-	}
-	code, err := params.LinkCodeErasure()
-	if err != nil {
-		return Result{}, err
-	}
-	calEvery := p.CalEvery
-	if calEvery == 0 {
-		calEvery = int(p.Profile.FrameRate/5 + 0.5)
-	}
-	if calEvery < 1 {
-		calEvery = 1
-	}
-	tx, err := modem.NewTransmitter(modem.TxConfig{
-		Order:            p.Order,
-		SymbolRate:       p.SymbolRate,
-		WhiteFraction:    0.2,
-		Power:            1,
-		Triangle:         cie.SRGBTriangle,
-		CalibrationEvery: calEvery,
-		Code:             code,
-		Seed:             p.Seed,
-		Telemetry:        tel,
+	l, err := link.New(link.Config{
+		Name:      "soak",
+		Point:     link.Point{Order: p.Order, SymbolRate: p.SymbolRate, WhiteFraction: 0.2},
+		Profile:   p.Profile,
+		Sizing:    link.ErasureSizing,
+		CalEvery:  p.CalEvery,
+		Seed:      p.Seed,
+		Rx:        modem.RxConfig{SelfHeal: p.SelfHeal, DisableEqualizer: p.DisableEqualizer},
+		Fault:     schedule,
+		Workers:   p.Workers,
+		Telemetry: tel,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	ls := linkstats.NewCollector(linkstats.Config{
-		Points:        int(p.Order),
-		BitsPerSymbol: p.Order.BitsPerSymbol(),
-		Telemetry:     tel,
-	})
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:            p.Order,
-		SymbolRate:       p.SymbolRate,
-		WhiteFraction:    0.2,
-		Code:             code,
-		SelfHeal:         p.SelfHeal,
-		DisableEqualizer: p.DisableEqualizer,
-		Telemetry:        tel,
-		LinkStats:        ls,
-	})
-	if err != nil {
+	payload := rand.New(rand.NewSource(fault.DeriveSeed(p.Seed, "soak.payload")))
+	if err := l.Broadcast(payload, link.MessageBlocks, p.Duration); err != nil {
 		return Result{}, err
 	}
 
-	rng := rand.New(rand.NewSource(fault.DeriveSeed(p.Seed, "soak.payload")))
-	block := make([]byte, code.K())
-	rng.Read(block)
-	// The repeating waveform restarts its calibration cadence at every
-	// message boundary, so when CalEvery is stretched explicitly the
-	// message must span at least one full calibration interval or the
-	// override silently tightens back to one calibration per repeat.
-	nBlocks := 4
-	if p.CalEvery > nBlocks {
-		nBlocks = p.CalEvery
-	}
-	msg := bytes.Repeat(block, nBlocks)
-	w, err := tx.BuildWaveformRepeating(msg, p.Duration+0.5)
-	if err != nil {
-		return Result{}, err
-	}
-	ch, err := channel.New(channel.DefaultConfig(), w)
-	if err != nil {
-		return Result{}, err
-	}
-	inj := fault.New(fault.Config{Seed: p.Seed, Schedule: schedule, Telemetry: tel})
-	cam := camera.New(p.Profile, p.Seed)
-	cam.Instrument(tel)
-	frames := cam.CaptureVideo(inj.WrapSource(ch), 0, int(p.Duration*p.Profile.FrameRate))
-	frames = inj.FilterFrames(frames)
-
-	res := Result{Schedule: schedule, Frames: len(frames), WorstRecoveryFrames: -1}
-	digest := fnv.New64a()
-	score := func(blocks []modem.Block, frameIdx int, recoveredAt *[]int) {
+	res := Result{Schedule: schedule, WorstRecoveryFrames: -1}
+	digest := link.NewDigest()
+	var recoveredAt []int // delivered-frame index of every recovered block
+	score := func(blocks []modem.Block, frame int) {
 		for _, b := range blocks {
 			if b.Recovered {
 				res.BlocksOK++
-				if recoveredAt != nil {
-					*recoveredAt = append(*recoveredAt, frameIdx)
-				}
-				digest.Write([]byte{1})
+				recoveredAt = append(recoveredAt, frame)
 			} else {
 				res.BlocksFailed++
-				digest.Write([]byte{0})
 			}
-			digest.Write(b.Data)
+			digest.Add(b.Recovered, b.Data)
 		}
 	}
-
-	sp := run.StartChild("soak.decode")
-	if p.Workers > 0 {
-		blocks, err := pipelineDecode(p, tel, rx, frames)
-		if err != nil {
-			sp.End()
-			return Result{}, err
-		}
-		score(blocks, 0, nil)
-	} else {
-		var recoveredAt []int // frame index of every recovered block
-		res.HealthSamples = make([]float64, 0, len(frames))
-		for i, f := range frames {
-			score(rx.ProcessFrame(f), i, &recoveredAt)
-			res.HealthSamples = append(res.HealthSamples, ls.Health().Score)
-		}
-		score(rx.Flush(), len(frames)-1, &recoveredAt)
-		res.WorstRecoveryFrames, res.Unrecovered = recoveryLatency(schedule, p.Profile.FrameRate, len(frames), recoveredAt)
-	}
-	sp.End()
-	res.Health = ls.Health()
+	// Serially, every delivered frame is scored and health-sampled as
+	// it decodes; the pipeline hands back the whole block stream.
 	res.MinHealth = 1
-	for _, s := range res.HealthSamples {
-		if s < res.MinHealth {
-			res.MinHealth = s
-		}
+	rest, frames, err := l.Stream(int(p.Duration*p.Profile.FrameRate), func(blocks []modem.Block) {
+		score(blocks, len(res.HealthSamples))
+		h := l.Stats.Health().Score
+		res.HealthSamples = append(res.HealthSamples, h)
+		res.MinHealth = min(res.MinHealth, h)
+	})
+	if err != nil {
+		return Result{}, err
 	}
+	score(rest, frames-1)
+	res.Frames = frames
+	if p.Workers == 0 {
+		res.WorstRecoveryFrames, res.Unrecovered = recoveryLatency(schedule, p.Profile.FrameRate, frames, recoveredAt)
+	}
+	res.Health = l.Stats.Health()
 
-	st := rx.Stats()
+	st := l.Rx.Stats()
 	res.Resyncs = st.Resyncs
 	res.StaleCalibrations = st.StaleCalibrations
 	res.DegradedBlocks = st.DegradedBlocks
 	res.Digest = digest.Sum64()
 	res.Snapshot = tel.Snapshot()
 	return res, nil
-}
-
-// pipelineDecode runs the capture through the concurrent pipeline
-// with an armed stall watchdog, so the soak also exercises the
-// recycle path under -race.
-func pipelineDecode(p Params, tel *telemetry.Registry, rx *modem.Receiver, frames []*camera.Frame) ([]modem.Block, error) {
-	pl := pipeline.New(pipeline.Config{
-		Workers:      p.Workers,
-		StallTimeout: 30 * time.Second,
-		Telemetry:    tel,
-	})
-	s, err := pl.AddStream("soak", rx)
-	if err != nil {
-		return nil, err
-	}
-	collected := make(chan []modem.Block, 1)
-	go func() {
-		var blocks []modem.Block
-		for b := range s.Blocks() {
-			blocks = append(blocks, b)
-		}
-		collected <- blocks
-	}()
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			return nil, err
-		}
-	}
-	if err := pl.Close(context.Background()); err != nil {
-		return nil, err
-	}
-	return <-collected, nil
 }
 
 // AnalyzeHealth scans a run's per-frame health samples around one

@@ -21,19 +21,17 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
 
 	"colorbars/internal/camera"
-	"colorbars/internal/cie"
-	"colorbars/internal/coding"
+	"colorbars/internal/channel"
 	"colorbars/internal/csk"
 	"colorbars/internal/ingest"
-	"colorbars/internal/modem"
-	"colorbars/internal/packet"
+	"colorbars/internal/link"
 	"colorbars/internal/telemetry"
 )
 
@@ -117,11 +115,10 @@ func (r *Result) String() string {
 
 // device is one fleet member's replay identity.
 type device struct {
-	id      string
-	prof    camera.Profile
-	hello   ingest.Hello
-	frames  []*camera.Frame
-	variant int
+	id     string
+	prof   camera.Profile
+	hello  ingest.Hello
+	frames []*camera.Frame
 }
 
 // Run executes one load run against the service at p.Addr.
@@ -164,10 +161,9 @@ func Run(p Params) (*Result, error) {
 		prof := profiles[d%len(profiles)]
 		variant := (d / len(profiles)) % p.Variants
 		fleet[d] = &device{
-			id:      fmt.Sprintf("loadgen-%02d-%s", d, prof.Name),
-			prof:    prof,
-			frames:  captures[captureKey(prof.Name, variant)],
-			variant: variant,
+			id:     fmt.Sprintf("loadgen-%02d-%s", d, prof.Name),
+			prof:   prof,
+			frames: captures[captureKey(prof.Name, variant)],
 			hello: ingest.Hello{
 				DeviceID:      fmt.Sprintf("loadgen-%02d-%s", d, prof.Name),
 				Order:         int(p.Order),
@@ -220,7 +216,12 @@ func Run(p Params) (*Result, error) {
 				if toVerify > 0 {
 					toVerify--
 					res.Verified++
-					if !verifyDigest(dev, sr) {
+					ok, err := verifyDigest(dev, sr)
+					if err != nil {
+						errs[d] = fmt.Errorf("%s round %d: verify: %w", dev.id, round, err)
+						return
+					}
+					if !ok {
 						res.DigestMismatches++
 					}
 				}
@@ -246,39 +247,32 @@ func captureKey(profName string, variant int) string {
 }
 
 // buildCaptures simulates the shared capture pool: Variants captures
-// per profile, each a full transmit-channel-camera run.
+// per profile, each a device imaging its LED directly (no optical
+// channel) while it repeats a one-block message.
 func buildCaptures(profiles []camera.Profile, p Params) (map[string][]*camera.Frame, error) {
 	out := map[string][]*camera.Frame{}
 	for _, prof := range profiles {
-		code, err := coding.Params{
-			SymbolRate:   p.SymbolRate,
-			FrameRate:    prof.FrameRate,
-			LossRatio:    prof.LossRatio(),
-			Order:        p.Order,
-			DataFraction: 1 - p.WhiteFraction,
-		}.LinkCodeErasure()
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %s: %w", prof.Name, err)
-		}
 		for v := 0; v < p.Variants; v++ {
 			seed := p.Seed + int64(v)*1001
-			tx, err := modem.NewTransmitter(modem.TxConfig{
-				Order: p.Order, SymbolRate: p.SymbolRate,
-				WhiteFraction: p.WhiteFraction, Power: 1,
-				Triangle: cie.SRGBTriangle, CalibrationEvery: 3, Code: code, Seed: seed,
+			l, err := link.New(link.Config{
+				Name:    "loadgen",
+				Point:   link.Point{Order: p.Order, SymbolRate: p.SymbolRate, WhiteFraction: p.WhiteFraction},
+				Profile: prof,
+				Sizing:  link.ErasureSizing,
+				Seed:    seed,
+				Channel: channel.Direct(),
 			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("loadgen: %s: %w", prof.Name, err)
 			}
-			msg := make([]byte, code.K())
+			msg := make([]byte, l.Code.K())
 			for i := range msg {
 				msg[i] = byte(int(seed) + 13*i + v)
 			}
-			w, err := tx.BuildWaveformRepeating(msg, p.Seconds)
-			if err != nil {
+			if err := l.Broadcast(bytes.NewReader(msg), 1, p.Seconds); err != nil {
 				return nil, err
 			}
-			frames := camera.New(prof, seed).CaptureVideo(w, 0, int(p.Seconds*prof.FrameRate))
+			frames := l.Clip(int(p.Seconds * prof.FrameRate))
 			if len(frames) == 0 {
 				return nil, fmt.Errorf("loadgen: %s variant %d: empty capture", prof.Name, v)
 			}
@@ -288,65 +282,37 @@ func buildCaptures(profiles []camera.Profile, p Params) (map[string][]*camera.Fr
 	return out, nil
 }
 
-// verifyDigest re-decodes the session's admitted frames in-process
-// and compares block-stream digests.
-func verifyDigest(dev *device, sr *ingest.SessionResult) bool {
-	code, err := coding.Params{
-		SymbolRate:   dev.hello.SymbolRate,
-		FrameRate:    dev.hello.FrameRate,
-		LossRatio:    dev.hello.LossRatio,
-		Order:        csk.Order(dev.hello.Order),
-		DataFraction: dev.hello.DataFraction,
-	}.LinkCodeErasure()
+// verifyDigest re-decodes the session's admitted frames on a reference
+// receiver built from the HELLO (seeded from the WELCOME snapshot when
+// the server seeded its own) and reports whether its block digest
+// matches the wire's. A receiver that cannot be built or seeded is an
+// error, not a mismatch.
+func verifyDigest(dev *device, sr *ingest.SessionResult) (bool, error) {
+	rx, err := dev.hello.Link().Receiver(telemetry.NewRegistry())
 	if err != nil {
-		return false
-	}
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:         csk.Order(dev.hello.Order),
-		SymbolRate:    dev.hello.SymbolRate,
-		WhiteFraction: dev.hello.WhiteFraction,
-		Code:          code,
-		Telemetry:     telemetry.NewRegistry(),
-	})
-	if err != nil {
-		return false
+		return false, err
 	}
 	if sr.CalHit() {
-		snap, err := packet.UnmarshalCalSnapshot(sr.Welcome.CalSnapshot)
-		if err != nil {
-			return false
-		}
-		if rx.SeedCalibration(snap) != nil {
-			return false
+		if err := link.SeedCalibration(rx, sr.Welcome.CalSnapshot); err != nil {
+			return false, fmt.Errorf("seed calibration from WELCOME snapshot: %w", err)
 		}
 	}
-	h := fnv.New64a()
-	digest := func(recovered bool, data []byte) {
-		if recovered {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-		h.Write(data)
-	}
+	want, got := link.NewDigest(), link.NewDigest()
 	for i, f := range dev.frames {
 		if _, shed := sr.Shed[uint64(i)]; shed {
 			continue
 		}
 		for _, b := range rx.ProcessFrame(f) {
-			digest(b.Recovered, b.Data)
+			want.Add(b.Recovered, b.Data)
 		}
 	}
 	for _, b := range rx.Flush() {
-		digest(b.Recovered, b.Data)
+		want.Add(b.Recovered, b.Data)
 	}
-	want := h.Sum64()
-
-	h.Reset()
 	for _, b := range sr.Blocks {
-		digest(b.Recovered, b.Data)
+		got.Add(b.Recovered, b.Data)
 	}
-	return h.Sum64() == want
+	return got.Sum64() == want.Sum64(), nil
 }
 
 // percentiles returns (p50, p99, max) of the sample in place.

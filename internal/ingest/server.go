@@ -14,10 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colorbars/internal/coding"
-	"colorbars/internal/csk"
+	"colorbars/internal/link"
 	"colorbars/internal/modem"
-	"colorbars/internal/packet"
 	"colorbars/internal/pipeline"
 	"colorbars/internal/telemetry"
 )
@@ -378,36 +376,16 @@ type wireMsg struct {
 // (seeded from the calibration cache when possible) and registers its
 // stream on the owning shard.
 func (s *Server) openSession(h Hello) (*session, Welcome, error) {
-	code, err := coding.Params{
-		SymbolRate:   h.SymbolRate,
-		FrameRate:    h.FrameRate,
-		LossRatio:    h.LossRatio,
-		Order:        csk.Order(h.Order),
-		DataFraction: h.DataFraction,
-	}.LinkCodeErasure()
-	if err != nil {
-		return nil, Welcome{}, err
-	}
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:         csk.Order(h.Order),
-		SymbolRate:    h.SymbolRate,
-		WhiteFraction: h.WhiteFraction,
-		Code:          code,
-		Telemetry:     s.tel.NewChild(),
-	})
+	rx, err := h.Link().Receiver(s.tel.NewChild())
 	if err != nil {
 		return nil, Welcome{}, err
 	}
 	ten := s.tenantFor(h.DeviceID)
 
 	var calSnap []byte
-	if raw, ok := s.cache.get(h.DeviceID); ok {
-		if snap, err := packet.UnmarshalCalSnapshot(raw); err == nil {
-			if rx.SeedCalibration(snap) == nil {
-				calSnap = raw
-				ten.calHits.Inc()
-			}
-		}
+	if raw, ok := s.cache.get(h.DeviceID); ok && link.SeedCalibration(rx, raw) == nil {
+		calSnap = raw
+		ten.calHits.Inc()
 	}
 
 	id := s.nextSession.Add(1)

@@ -35,6 +35,8 @@ import (
 
 	"colorbars/internal/camera"
 	"colorbars/internal/colorspace"
+	"colorbars/internal/csk"
+	"colorbars/internal/link"
 )
 
 // wireVersion is the protocol version byte every message carries.
@@ -123,6 +125,16 @@ type Hello struct {
 	DataFraction  float64
 	FrameRate     float64
 	LossRatio     float64
+}
+
+// Link returns the link the HELLO announces.
+func (h Hello) Link() link.Remote {
+	return link.Remote{
+		Point:        link.Point{Order: csk.Order(h.Order), SymbolRate: h.SymbolRate, WhiteFraction: h.WhiteFraction},
+		DataFraction: h.DataFraction,
+		FrameRate:    h.FrameRate,
+		LossRatio:    h.LossRatio,
+	}
 }
 
 func (h Hello) encode() ([]byte, error) {

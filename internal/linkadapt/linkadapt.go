@@ -35,9 +35,9 @@ package linkadapt
 import (
 	"fmt"
 
-	"colorbars/internal/coding"
 	"colorbars/internal/csk"
 	"colorbars/internal/led"
+	"colorbars/internal/link"
 )
 
 // Rung is one committed operating point on the modulation ladder.
@@ -52,18 +52,9 @@ type Rung struct {
 
 func (r Rung) String() string { return r.Name }
 
-// CodingParams returns the erasure-code sizing parameters for this
-// rung on a camera with the given frame rate and rolling-shutter loss
-// ratio. Each rung commits to its own RS(n, k): denser constellations
-// ride faster symbol rates and therefore larger codewords.
-func (r Rung) CodingParams(frameRate, lossRatio float64) coding.Params {
-	return coding.Params{
-		SymbolRate:   r.SymbolRate,
-		FrameRate:    frameRate,
-		LossRatio:    lossRatio,
-		Order:        r.Order,
-		DataFraction: 1 - r.WhiteFraction,
-	}
+// Point returns the rung's operating point.
+func (r Rung) Point() link.Point {
+	return link.Point{Order: r.Order, SymbolRate: r.SymbolRate, WhiteFraction: r.WhiteFraction}
 }
 
 // DefaultLadder is the committed three-rung ladder the cmd tools and

@@ -2,27 +2,25 @@ package linkadapt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"colorbars/internal/camera"
-	"colorbars/internal/channel"
-	"colorbars/internal/cie"
-	"colorbars/internal/colorspace"
+	"colorbars/internal/csk"
 	"colorbars/internal/fault"
+	"colorbars/internal/link"
 	"colorbars/internal/linkstats"
 	"colorbars/internal/modem"
 	"colorbars/internal/packet"
 	"colorbars/internal/telemetry"
 )
 
-// DefaultSwitchLagFrames is the delay between a controller decision
+// SwitchLagFrames is the delay between a controller decision
 // and the frame at which both ends actually retune. It models the
 // in-band negotiation round trip: the transmitter announces the
 // pending rung in calibration metadata (CalMeta.NextRung /
 // SwitchFrame) and the receiver holds the switch until the agreed
 // frame boundary.
-const DefaultSwitchLagFrames = 3
+const SwitchLagFrames = 3
 
 // SessionParams configures one closed-loop adaptive run. Zero values
 // take the defaults noted on each field; only Seed and Duration are
@@ -35,17 +33,11 @@ type SessionParams struct {
 	Duration float64
 	// Profile is the receiving camera (zero value selects Nexus5).
 	Profile camera.Profile
-	// Channel is the optical channel (zero Distance selects
-	// channel.DefaultConfig).
-	Channel channel.Config
 	// Controller tunes the adaptation state machine (ladder, dwell,
 	// hysteresis). The zero value takes the package defaults.
 	Controller Config
 	// Schedule is the impairment timeline (empty runs a clean link).
 	Schedule fault.Schedule
-	// SwitchLagFrames is the decision-to-retune delay; zero selects
-	// DefaultSwitchLagFrames.
-	SwitchLagFrames int
 	// FixedRung, when positive, pins the link to that 1-based ladder
 	// rung and disables adaptation entirely — the fixed-rate baseline
 	// the adapt-soak compares the closed loop against. The capture
@@ -103,17 +95,6 @@ func (r SessionResult) String() string {
 		r.Frames, r.BlocksOK, r.BlocksOK+r.BlocksFailed, len(r.Decisions), r.GoodputBPS, r.Digest)
 }
 
-// epochSource shifts time so a waveform rebuilt at a rung switch
-// starts playing at the switch instant instead of t=0.
-type epochSource struct {
-	src camera.Source
-	t0  float64
-}
-
-func (s epochSource) Mean(t0, t1 float64) colorspace.RGB {
-	return s.src.Mean(t0-s.t0, t1-s.t0)
-}
-
 // RunSession executes one closed-loop adaptive link: a transmitter and
 // receiver that renegotiate their operating point frame by frame while
 // the fault injector works the channel.
@@ -139,12 +120,6 @@ func RunSession(p SessionParams) (SessionResult, error) {
 	if p.Profile.FrameRate == 0 {
 		p.Profile = camera.Nexus5()
 	}
-	if p.Channel.Distance == 0 {
-		p.Channel = channel.DefaultConfig()
-	}
-	if p.SwitchLagFrames <= 0 {
-		p.SwitchLagFrames = DefaultSwitchLagFrames
-	}
 	tel := p.Telemetry
 	if tel == nil {
 		tel = telemetry.NewRegistry()
@@ -165,106 +140,53 @@ func RunSession(p SessionParams) (SessionResult, error) {
 	}
 	fps := p.Profile.FrameRate
 	loss := p.Profile.LossRatio()
-	calEvery := int(fps/5 + 0.5)
-	if calEvery < 1 {
-		calEvery = 1
-	}
 
 	// One collector spans every rung: margins histogram per point
 	// index, so size it for the densest constellation on the ladder.
-	maxOrder := 0
+	var maxOrder csk.Order
 	for _, r := range ctl.Ladder() {
-		if int(r.Order) > maxOrder {
-			maxOrder = int(r.Order)
-		}
+		maxOrder = max(maxOrder, r.Order)
 	}
-	ls := linkstats.NewCollector(linkstats.Config{
-		Points:        maxOrder,
-		BitsPerSymbol: ctl.CurrentRung().Order.BitsPerSymbol(),
-		Telemetry:     tel,
+	rung := ctl.CurrentRung()
+	l, err := link.New(link.Config{
+		Name:        "linkadapt",
+		Point:       rung.Point(),
+		Profile:     p.Profile,
+		Sizing:      link.ErasureSizing,
+		Seed:        p.Seed,
+		Fault:       p.Schedule,
+		MaxOrder:    maxOrder,
+		ExactFrames: true,
+		Telemetry:   tel,
 	})
+	if err != nil {
+		return SessionResult{}, err
+	}
+	payload := rand.New(rand.NewSource(fault.DeriveSeed(p.Seed, "linkadapt.payload")))
 
-	inj := fault.New(fault.Config{Seed: p.Seed, Schedule: p.Schedule, Telemetry: tel})
-	cam := camera.New(p.Profile, p.Seed)
-	cam.Instrument(tel)
-	payloadRng := rand.New(rand.NewSource(fault.DeriveSeed(p.Seed, "linkadapt.payload")))
-
-	// buildEpoch stands up the transmit side at a rung: erasure-sized
-	// code, fresh payload blocked for that code, repeating waveform
-	// long enough to cover the rest of the session, and the full
-	// source chain (waveform → channel → epoch time shift → injector,
-	// outermost so faults run on absolute session time).
-	buildEpoch := func(rung Rung, epoch int, startT float64) (camera.Source, *modem.Transmitter, error) {
-		params := rung.CodingParams(fps, loss)
-		code, err := params.LinkCodeErasure()
-		if err != nil {
-			return nil, nil, err
-		}
-		tx, err := modem.NewTransmitter(modem.TxConfig{
-			Order:            rung.Order,
-			SymbolRate:       rung.SymbolRate,
-			WhiteFraction:    rung.WhiteFraction,
-			Power:            1,
-			Triangle:         cie.SRGBTriangle,
-			CalibrationEvery: calEvery,
-			Code:             code,
-			Seed:             p.Seed,
-			Telemetry:        tel,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	// broadcast starts the current epoch's waveform: the rung and epoch
+	// are announced in calibration metadata only when the
+	// metadata-bearing calibration packet still fits one frame's
+	// visible symbol window (a region split by the inter-frame gap can
+	// never decode), then a fresh payload block plays from the epoch
+	// start to the end of the session.
+	broadcast := func() error {
 		meta := packet.EncodeCalMeta(packet.CalMeta{
 			Rung: ctl.Rung(), HasRung: true,
-			Epoch: epoch, HasEpoch: true,
+			Epoch: ctl.Epoch(), HasEpoch: true,
 		})
-		// Announce only when the metadata-bearing calibration packet
-		// still fits one frame's visible symbol window; a region split
-		// by the inter-frame gap can never decode.
-		cal, err := tx.PacketConfig().BuildCalibrationMeta(tx.Constellation().CalibrationOrder(), meta)
+		cal, err := l.Tx.PacketConfig().BuildCalibrationMeta(l.Tx.Constellation().CalibrationOrder(), meta)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if float64(len(cal)) <= rung.SymbolRate/fps*(1-loss)-2 {
-			tx.SetCalMeta(meta)
+		if float64(len(cal)) <= l.Point.SymbolRate/fps*(1-loss)-2 {
+			l.Tx.SetCalMeta(meta)
 		}
-		block := make([]byte, code.K())
-		payloadRng.Read(block)
-		msg := make([]byte, 0, 4*len(block))
-		for i := 0; i < 4; i++ {
-			msg = append(msg, block...)
-		}
-		w, err := tx.BuildWaveformRepeating(msg, p.Duration-startT+0.5)
-		if err != nil {
-			return nil, nil, err
-		}
-		ch, err := channel.New(p.Channel, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		return inj.WrapSource(epochSource{src: ch, t0: startT}), tx, nil
+		return l.Broadcast(payload, link.MessageBlocks, p.Duration)
 	}
 
-	rung := ctl.CurrentRung()
-	params := rung.CodingParams(fps, loss)
-	code, err := params.LinkCodeErasure()
-	if err != nil {
-		return SessionResult{}, err
-	}
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:         rung.Order,
-		SymbolRate:    rung.SymbolRate,
-		WhiteFraction: rung.WhiteFraction,
-		Code:          code,
-		Telemetry:     tel,
-		LinkStats:     ls,
-	})
-	if err != nil {
-		return SessionResult{}, err
-	}
-	ls.NoteRung(ctl.Rung(), rung.Name)
-	src, _, err := buildEpoch(rung, ctl.Epoch(), 0)
-	if err != nil {
+	l.Stats.NoteRung(ctl.Rung(), rung.Name)
+	if err := broadcast(); err != nil {
 		return SessionResult{}, err
 	}
 
@@ -274,60 +196,45 @@ func RunSession(p SessionParams) (SessionResult, error) {
 		RungByFrame:   make([]int, 0, nFrames),
 		HealthSamples: make([]float64, 0, nFrames),
 	}
-	digest := fnv.New64a()
+	digest := link.NewDigest()
 	score := func(blocks []modem.Block, frame int) {
 		for _, b := range blocks {
 			if b.Recovered {
 				res.BlocksOK++
 				res.GoodputBytes += int64(len(b.Data))
 				res.RecoveredAt = append(res.RecoveredAt, frame)
-				digest.Write([]byte{1})
 			} else {
 				res.BlocksFailed++
-				digest.Write([]byte{0})
 			}
-			digest.Write(b.Data)
+			digest.Add(b.Recovered, b.Data)
 		}
 	}
 
-	period := p.Profile.FramePeriod()
 	switchAt := -1 // frame at which the pending decision retunes the link
 	var pending Decision
 	for i := 0; i < nFrames; i++ {
 		if i == switchAt {
 			to := ctl.Ladder()[pending.To]
-			toParams := to.CodingParams(fps, loss)
-			toCode, err := toParams.LinkCodeErasure()
-			if err != nil {
-				return SessionResult{}, err
-			}
-			flushed, err := rx.SetOperatingPoint(modem.OperatingPoint{
-				Order:         to.Order,
-				SymbolRate:    to.SymbolRate,
-				WhiteFraction: to.WhiteFraction,
-				Code:          toCode,
-			})
+			flushed, err := l.Retune(to.Point(), i)
 			if err != nil {
 				return SessionResult{}, err
 			}
 			score(flushed, i)
-			src, _, err = buildEpoch(to, ctl.Epoch(), float64(i)*period)
-			if err != nil {
+			if err := broadcast(); err != nil {
 				return SessionResult{}, err
 			}
-			ls.NoteRung(pending.To, to.Name)
+			l.Stats.NoteRung(pending.To, to.Name)
 			digest.Write([]byte{0xA5, byte(pending.From), byte(pending.To)})
 			switchAt = -1
 		}
 
-		f := cam.Capture(src, float64(i)*period)
-		g, copies := inj.FilterFrame(f, i)
+		f, copies := l.Frame(i)
 		for k := 0; k < copies; k++ {
-			score(rx.ProcessFrame(g), i)
+			score(l.Rx.ProcessFrame(f), i)
 		}
 
-		h := ls.Health()
-		eqConf, hasEq := rx.EqualizerConfidence()
+		h := l.Stats.Health()
+		eqConf, hasEq := l.Rx.EqualizerConfidence()
 		res.RungByFrame = append(res.RungByFrame, ctl.Rung())
 		res.HealthSamples = append(res.HealthSamples, h.Score)
 		res.EqConfByFrame = append(res.EqConfByFrame, eqConf)
@@ -348,15 +255,15 @@ func RunSession(p SessionParams) (SessionResult, error) {
 		})
 		if ok {
 			res.Decisions = append(res.Decisions, d)
-			pending, switchAt = d, i+p.SwitchLagFrames
+			pending, switchAt = d, i+SwitchLagFrames
 		}
 	}
-	score(rx.Flush(), nFrames-1)
+	score(l.Rx.Flush(), nFrames-1)
 
 	res.GoodputBPS = float64(res.GoodputBytes) * 8 / p.Duration
 	res.Digest = digest.Sum64()
-	res.Health = ls.Health()
-	res.Report = ls.Report("adaptive")
+	res.Health = l.Stats.Health()
+	res.Report = l.Stats.Report("adaptive")
 	res.Snapshot = tel.Snapshot()
 	return res, nil
 }

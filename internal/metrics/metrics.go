@@ -15,23 +15,16 @@
 package metrics
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 
 	"colorbars/internal/camera"
 	"colorbars/internal/channel"
-	"colorbars/internal/cie"
-	"colorbars/internal/coding"
 	"colorbars/internal/csk"
 	"colorbars/internal/fault"
-	"colorbars/internal/linkadapt"
+	"colorbars/internal/link"
 	"colorbars/internal/linkstats"
 	"colorbars/internal/modem"
-	"colorbars/internal/packet"
-	"colorbars/internal/pipeline"
-	"colorbars/internal/rs"
 	"colorbars/internal/telemetry"
 )
 
@@ -41,15 +34,6 @@ import (
 // source, and this error floor is what separates the dense 16/32-CSK
 // constellations from the robust 4/8-CSK ones in Fig 9.
 const DefaultDriveJitter = 0.10
-
-// resolvePower maps the LinkParams convention (0 = nominal single
-// LED).
-func resolvePower(p float64) float64 {
-	if p == 0 {
-		return 1
-	}
-	return p
-}
 
 // resolveJitter maps the LinkParams convention (0 = default, negative
 // = none) onto the LED config.
@@ -128,27 +112,10 @@ type LinkParams struct {
 	// (transmitter, camera, receiver, and the metrics.* phases). Nil
 	// creates a per-run child of telemetry.Process(), so every run
 	// rolls up into the process-level registry the cmd tools expose
-	// via -telemetry-addr while LinkResult stays per-run exact.
+	// via -telemetry-addr while LinkResult stays per-run exact. Attach
+	// a telemetry.TraceSink to it (SetSink) to record a JSONL trace of
+	// every stage span and counter increment.
 	Telemetry *telemetry.Registry
-	// Trace, when non-nil, is attached to the run's registry as its
-	// event sink: the run records a structured JSONL-able trace of
-	// every pipeline stage and counter increment — *why* blocks
-	// failed, not just how many.
-	Trace telemetry.TraceSink
-	// LinkStats optionally supplies the run's link-quality collector
-	// (so a caller can Publish it at /debug/link while the run is
-	// live). Nil creates a private one; either way Run installs the
-	// transmitted symbol stream as SER/BER ground truth and the
-	// result carries the end-of-run LinkHealth and Report.
-	LinkStats *linkstats.Collector
-	// Adaptive replaces the fixed Order/SymbolRate/WhiteFraction link
-	// with the closed-loop link-adaptation session (internal/linkadapt,
-	// DESIGN.md §13): the controller walks the default modulation
-	// ladder in response to live link health, so those three fields are
-	// ignored. Only GoodputBps, Stats, Health, LinkReport and Telemetry
-	// are populated — SER and throughput need a fixed ground-truth
-	// symbol stream, which a link that retunes mid-run does not have.
-	Adaptive bool
 }
 
 // LinkResult holds the measured quantities.
@@ -179,241 +146,79 @@ type LinkResult struct {
 	LinkReport linkstats.Report
 	// EqConfidence is the receiver's end-of-run channel-equalizer
 	// confidence in [0, 1]; EqActive reports whether the equalizer was
-	// enabled and anchored at all (always false under DisableEqualizer
-	// and in adaptive runs, whose receiver retunes mid-run).
+	// enabled and anchored at all (always false under
+	// DisableEqualizer).
 	EqConfidence float64
 	EqActive     bool
 }
 
 // Run measures one link configuration end to end: it builds a
 // paper-sized RS code, transmits one known codeword in a repeating
-// broadcast, captures video with the device profile, decodes it, and
-// scores the result.
+// broadcast, captures video with the device profile, decodes it frame
+// by frame, and scores the result.
 func Run(p LinkParams) (LinkResult, error) {
 	if p.Duration <= 0 {
 		return LinkResult{}, fmt.Errorf("metrics: duration %v must be positive", p.Duration)
 	}
-	if p.Adaptive {
-		return runAdaptive(p)
-	}
 	tel := p.Telemetry
 	if tel == nil {
 		tel = telemetry.Process().NewChild()
-	}
-	if p.Trace != nil {
-		tel.SetSink(p.Trace)
 	}
 	run := tel.StartSpan("metrics.run")
 	defer run.End()
 
-	params := coding.Params{
-		SymbolRate:   p.SymbolRate,
-		FrameRate:    p.Profile.FrameRate,
-		LossRatio:    p.Profile.LossRatio(),
-		Order:        p.Order,
-		DataFraction: 1 - p.WhiteFraction,
-	}
-	// Each sizing path is checked exactly once (the erasure path used
-	// to overwrite the LinkCode result/err pair it had already
-	// computed).
-	var code *rs.Code
-	var err error
+	sizing := link.PaperSizing
 	if p.ErasureSizing {
-		code, err = params.LinkCodeErasure()
-	} else {
-		code, err = params.LinkCode()
+		sizing = link.ErasureSizing
 	}
-	if err != nil {
-		return LinkResult{}, err
-	}
-	calEvery := p.CalibrationEvery
-	if calEvery == 0 {
-		// ≈5 calibration packets per second: one every F/5 data
-		// packets at ~one packet per frame.
-		calEvery = int(p.Profile.FrameRate/5 + 0.5)
-		if calEvery < 1 {
-			calEvery = 1
-		}
-	}
-	tx, err := modem.NewTransmitter(modem.TxConfig{
-		Order:             p.Order,
-		SymbolRate:        p.SymbolRate,
-		WhiteFraction:     p.WhiteFraction,
-		Power:             resolvePower(p.Power),
-		Triangle:          cie.SRGBTriangle,
-		CalibrationEvery:  calEvery,
-		Code:              code,
-		DriveJitter:       resolveJitter(p.DriveJitter),
-		Seed:              p.Seed,
-		ReceiverOptimized: p.ReceiverOptimized,
-		Telemetry:         tel,
-	})
-	if err != nil {
-		return LinkResult{}, err
-	}
-	ls := p.LinkStats
-	if ls == nil {
-		ls = linkstats.NewCollector(linkstats.Config{
-			Points:        int(p.Order),
-			BitsPerSymbol: p.Order.BitsPerSymbol(),
-			Telemetry:     tel,
-		})
-	}
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:                p.Order,
-		SymbolRate:           p.SymbolRate,
-		WhiteFraction:        p.WhiteFraction,
-		Code:                 code,
-		UseFactoryReferences: p.UseFactoryRefs,
-		NoErasureDecoding:    p.NoErasureDecoding,
-		DisableEqualizer:     p.DisableEqualizer,
-		ReceiverOptimized:    p.ReceiverOptimized,
-		SelfHeal:             p.SelfHeal,
-		Telemetry:            tel,
-		LinkStats:            ls,
-	})
-	if err != nil {
-		return LinkResult{}, err
-	}
-
-	// A known k-byte block repeated 4× → every data packet carries the
-	// same codeword (SER ground truth), while the 4-packet message
-	// cycle amortizes the transmitter's de-phasing pads.
-	rng := rand.New(rand.NewSource(p.Seed))
-	block := make([]byte, code.K())
-	rng.Read(block)
-	// The repeating waveform restarts the calibration cadence at every
-	// message repeat, so an explicit CalibrationEvery beyond the
-	// message's packet count would silently tighten back to it: scale
-	// the message so the stretched interval actually elapses on air.
-	// Only an explicit override stretches — the default stays at 4
-	// packets so every recorded default-parameter result is unchanged.
-	nBlocks := 4
-	if p.CalibrationEvery > nBlocks {
-		nBlocks = p.CalibrationEvery
-	}
-	msg := bytes.Repeat(block, nBlocks)
-	cw, err := code.Encode(append([]byte(nil), block...))
-	if err != nil {
-		return LinkResult{}, err
-	}
-	// On-air symbols carry the whitened codeword (see packet.Scramble).
-	truth := p.Order.Pack(packet.Scramble(cw))
-	// The same stream is the link-quality layer's SER/BER ground truth.
-	ls.SetTruth(truth)
-
-	sp := run.StartChild("metrics.build_waveform")
-	w, err := tx.BuildWaveformRepeating(msg, p.Duration+0.5)
-	sp.End()
-	if err != nil {
-		return LinkResult{}, err
-	}
-	chCfg := p.Channel
-	if chCfg == (channel.Config{}) {
-		chCfg = channel.DefaultConfig()
-	}
-	ch, err := channel.New(chCfg, w)
-	if err != nil {
-		return LinkResult{}, err
-	}
-
-	var src camera.Source = ch
-	var inj *fault.Injector
-	if !p.Fault.Empty() {
-		inj = fault.New(fault.Config{Seed: p.Seed, Schedule: p.Fault, Telemetry: tel})
-		src = inj.WrapSource(ch)
-	}
-
-	cam := camera.New(p.Profile, p.Seed)
-	cam.Instrument(tel)
-	nFrames := int(p.Duration * p.Profile.FrameRate)
-
-	sp = run.StartChild("metrics.capture")
-	frames := cam.CaptureVideo(src, 0, nFrames)
-	sp.End()
-	if inj != nil {
-		frames = inj.FilterFrames(frames)
-	}
-
-	sp = run.StartChild("metrics.decode")
-	var blocks []modem.Block
-	if p.Workers > 0 {
-		blocks, err = pipelineDecode(p.Workers, tel, rx, frames)
-		if err != nil {
-			return LinkResult{}, err
-		}
-	} else {
-		for _, f := range frames {
-			blocks = append(blocks, rx.ProcessFrame(f)...)
-		}
-		blocks = append(blocks, rx.Flush()...)
-	}
-	sp.End()
-
-	res := score(p, code.K(), truth, blocks, rx.Stats(), block)
-	res.Telemetry = tel.Snapshot()
-	res.Health = ls.Health()
-	res.LinkReport = ls.Report("")
-	res.EqConfidence, res.EqActive = rx.EqualizerConfidence()
-	return res, nil
-}
-
-// runAdaptive measures the closed-loop adaptive link: the linkadapt
-// session owns the whole modem loop (it must — the operating point
-// changes mid-run), and its result maps onto the subset of LinkResult
-// that is well-defined without a fixed ground-truth stream.
-func runAdaptive(p LinkParams) (LinkResult, error) {
-	tel := p.Telemetry
-	if tel == nil {
-		tel = telemetry.Process().NewChild()
-	}
-	if p.Trace != nil {
-		tel.SetSink(p.Trace)
-	}
-	sr, err := linkadapt.RunSession(linkadapt.SessionParams{
-		Seed:      p.Seed,
-		Duration:  p.Duration,
-		Profile:   p.Profile,
+	l, err := link.New(link.Config{
+		Name:     "metrics",
+		Point:    link.Point{Order: p.Order, SymbolRate: p.SymbolRate, WhiteFraction: p.WhiteFraction},
+		Profile:  p.Profile,
+		Sizing:   sizing,
+		CalEvery: p.CalibrationEvery,
+		Seed:     p.Seed,
+		Tx: modem.TxConfig{
+			Power:             p.Power,
+			DriveJitter:       resolveJitter(p.DriveJitter),
+			ReceiverOptimized: p.ReceiverOptimized,
+		},
+		Rx: modem.RxConfig{
+			UseFactoryReferences: p.UseFactoryRefs,
+			NoErasureDecoding:    p.NoErasureDecoding,
+			DisableEqualizer:     p.DisableEqualizer,
+			SelfHeal:             p.SelfHeal,
+		},
 		Channel:   p.Channel,
-		Schedule:  p.Fault,
+		Fault:     p.Fault,
+		Workers:   p.Workers,
 		Telemetry: tel,
 	})
 	if err != nil {
 		return LinkResult{}, err
 	}
-	return LinkResult{
-		GoodputBps: sr.GoodputBPS,
-		Telemetry:  sr.Snapshot,
-		Health:     sr.Health,
-		LinkReport: sr.Report,
-	}, nil
-}
+	// Every data packet carries the same known codeword: the SER ground
+	// truth, which is also the link-quality layer's SER/BER truth.
+	if err := l.Broadcast(rand.New(rand.NewSource(p.Seed)), link.MessageBlocks, p.Duration); err != nil {
+		return LinkResult{}, err
+	}
+	l.Stats.SetTruth(l.Truth)
 
-// pipelineDecode runs the capture through the concurrent pipeline and
-// collects the (order-identical) decoded blocks.
-func pipelineDecode(workers int, tel *telemetry.Registry, rx *modem.Receiver, frames []*camera.Frame) ([]modem.Block, error) {
-	pl := pipeline.New(pipeline.Config{Workers: workers, Telemetry: tel})
-	s, err := pl.AddStream("metrics", rx)
+	var blocks []modem.Block
+	rest, _, err := l.Stream(int(p.Duration*p.Profile.FrameRate), func(bs []modem.Block) {
+		blocks = append(blocks, bs...)
+	})
 	if err != nil {
-		return nil, err
+		return LinkResult{}, err
 	}
-	collected := make(chan []modem.Block, 1)
-	go func() {
-		var blocks []modem.Block
-		for b := range s.Blocks() {
-			blocks = append(blocks, b)
-		}
-		collected <- blocks
-	}()
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			return nil, err
-		}
-	}
-	if err := pl.Close(context.Background()); err != nil {
-		return nil, err
-	}
-	return <-collected, nil
+	blocks = append(blocks, rest...)
+
+	res := score(p, l.Code.K(), l.Truth, blocks, l.Rx.Stats(), l.Block)
+	res.Telemetry = tel.Snapshot()
+	res.Health = l.Stats.Health()
+	res.LinkReport = l.Stats.Report("")
+	res.EqConfidence, res.EqActive = l.Rx.EqualizerConfidence()
+	return res, nil
 }
 
 // score computes the result metrics from decoded blocks.

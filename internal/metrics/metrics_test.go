@@ -185,10 +185,12 @@ func TestRunWorkersEquivalent(t *testing.T) {
 func TestRunTraceCountersMatchStats(t *testing.T) {
 	var buf bytes.Buffer
 	sink := telemetry.NewJSONLSink(&buf)
+	tel := telemetry.NewRegistry()
+	tel.SetSink(sink)
 	res, err := Run(LinkParams{
 		Order: csk.CSK8, SymbolRate: 2000, Profile: camera.Nexus5(),
 		WhiteFraction: 0.2, Duration: 2, Seed: 8,
-		Telemetry: telemetry.NewRegistry(), Trace: sink,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,21 +141,6 @@ func (c *Code) syndromes(codeword []byte) []byte {
 	return synd
 }
 
-// forneySyndromes multiplies the syndrome polynomial by the erasure
-// locator, truncated to n−k terms. Syndromes are stored lowest order
-// first (S_0 … S_{2t−1}).
-func (c *Code) forneySyndromes(synd, gamma []byte) []byte {
-	out := make([]byte, len(synd))
-	for j := range out {
-		var s byte
-		for i := 0; i < len(gamma) && i <= j; i++ {
-			s ^= gf256.Mul(gamma[i], synd[j-i])
-		}
-		out[j] = s
-	}
-	return out
-}
-
 // berlekampMassey finds the error-locator polynomial (lowest degree
 // first: σ(x) = 1 + σ1·x + …) from the (modified) syndromes. numEras
 // erasures have already been accounted for; the number of additional

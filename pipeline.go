@@ -59,26 +59,7 @@ func (p *Pipeline) Telemetry() *telemetry.Registry { return p.tel }
 // configuration and returns its lane. The id names the stream in
 // telemetry and must be unique within the pipeline.
 func (p *Pipeline) AddStream(id string, cfg Config) (*PipelineStream, error) {
-	cfg = cfg.withDefaults()
-	code, err := cfg.code()
-	if err != nil {
-		return nil, err
-	}
-	tel := telemetry.Process().NewChild()
-	ls := linkstats.NewCollector(linkstats.Config{
-		Points:        int(cfg.Order),
-		BitsPerSymbol: cfg.Order.BitsPerSymbol(),
-		Telemetry:     tel,
-	})
-	rx, err := modem.NewReceiver(modem.RxConfig{
-		Order:              cfg.Order,
-		SymbolRate:         cfg.SymbolRate,
-		WhiteFraction:      cfg.WhiteFraction,
-		Code:               code,
-		Telemetry:          tel,
-		LinkStats:          ls,
-		TrackAnnouncedRung: cfg.TrackAnnouncedRung,
-	})
+	rx, ls, err := cfg.withDefaults().receiver()
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,8 @@ type SimResult struct {
 	RecoveredAt float64
 	// Stats carries the receiver's low-level counters.
 	Stats modem.RxStats
+	// Health is the receiver's end-of-session link-quality snapshot.
+	Health LinkHealth
 	// Progress is the block-collection state at the end of the
 	// session (equal when the message completed).
 	ProgressHave, ProgressTotal int
@@ -63,6 +65,7 @@ func Simulate(cfg Config, prof Profile, msg []byte, seconds float64, seed int64)
 		}
 	}
 	res.Stats = rx.Stats()
+	res.Health = rx.Health()
 	res.ProgressHave, res.ProgressTotal = rx.Progress()
 	if res.Received != nil {
 		res.ProgressHave, res.ProgressTotal = res.Received.Blocks, res.Received.Blocks
