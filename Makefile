@@ -8,8 +8,9 @@ GO ?= go
 # the deterministic chaos soak, the adaptive-link chaos soak (the
 # closed-loop controller must beat every surviving fixed operating
 # point and regain the top rung on budget), a single-iteration pass
-# over the ProcessFrame benchmarks (so the telemetry-overhead path
-# compiles and runs), the perfbench module's vet and self-tests, and
+# over the ProcessFrame and Capture benchmarks (so the
+# telemetry-overhead path and the camera's per-profile capture path
+# compile and run), the perfbench module's vet and self-tests, and
 # the benchmark trajectory gate against the
 # committed bench/BENCH_*.json baseline. Budget: ~10 minutes on a
 # laptop (adapt-soak simulates 32 multi-second sessions and dominates).
@@ -121,7 +122,7 @@ cover:
 	fi
 
 bench:
-	$(GO) test -run=- -bench=BenchmarkProcessFrame -benchtime=1x ./...
+	$(GO) test -run=- -bench='BenchmarkProcessFrame|BenchmarkCapture' -benchtime=1x ./...
 
 # bench-json measures the receiver decode trajectory (ns/frame, B/op,
 # allocs/op, ground-truth SER per operating point, the adaptive link's

@@ -21,7 +21,19 @@
 //	scaled    = sensed · exposure · ISO · Sensitivity
 //	vignetted = scaled · falloff(row, col)        (non-uniform brightness, §7)
 //	noisy     = vignetted + shot noise + read noise · ISO
-//	pixel     = quantize(clamp(noisy))            (saturation + ADC)
+//	pixel     = round(clamp(noisy)^γ · max) / max  (saturation, tone curve, ADC)
+//
+// The last line is evaluated without math.Pow. The tone curve and the
+// ADC are both monotone for γ > 0, so the output level of a clamped
+// channel value x is the number of thresholds t_k = ((k−½)/max)^(1/γ)
+// that x reaches. Those thresholds are computed once per (γ, QuantBits)
+// and shared by every camera with the same values (see adc.go); a
+// channel usually costs one table lookup. Values within 1e-9 of a
+// threshold, where the rounding of the tables could differ from the
+// rounding of the Pow chain, and values outside [0, 1] take the Pow
+// chain itself, so every frame is bit-identical to evaluating the
+// formula directly. Level 0 has no lower threshold, so black pixels
+// (x = 0) stay on the table path.
 //
 // Auto exposure/ISO (§6.2) is a deterministic feedback loop that
 // retargets the mean pixel level each frame, mimicking the phones'
@@ -138,7 +150,32 @@ func (p Profile) Validate() error {
 	if p.MinISO <= 0 || p.MaxISO < p.MinISO {
 		return fmt.Errorf("camera: ISO range [%v, %v]", p.MinISO, p.MaxISO)
 	}
+	// The ADC's threshold tables need a monotone tone curve (γ > 0;
+	// zero means 1), and negative or non-finite noise and vignetting
+	// would turn every pixel into NaN or garbage.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"tone gamma", p.ToneGamma},
+		{"vignetting", p.Vignetting},
+		{"read noise", p.ReadNoise},
+		{"shot noise", p.ShotNoise},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("camera: %s %v", f.name, f.v)
+		}
+	}
 	return nil
+}
+
+// toneGamma returns the profile's tone-curve exponent, with the zero
+// value meaning no tone mapping.
+func (p Profile) toneGamma() float64 {
+	if p.ToneGamma == 0 {
+		return 1
+	}
+	return p.ToneGamma
 }
 
 // FramePeriod returns the time between frame starts.
@@ -320,6 +357,15 @@ type Camera struct {
 	iso      float64
 	manual   bool
 
+	// Per-profile tables built once by New: the shared ADC quantizer,
+	// the lens blur kernel (nil without blur), and the squared
+	// normalized row and column offsets from the frame center that
+	// vignetting needs (nil without vignetting). All are O(Rows+Cols)
+	// per camera; the quantizer's tables are shared.
+	adc        *adc
+	blurKernel []float64
+	dr2, dc2   []float64
+
 	// Telemetry (optional, attached with Instrument): nil fields are
 	// inert, so an uninstrumented camera pays only nil checks.
 	tel         *telemetry.Registry
@@ -335,12 +381,21 @@ func New(p Profile, seed int64) *Camera {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Camera{
+	c := &Camera{
 		profile:  p,
 		rng:      rand.New(rand.NewSource(seed)),
 		exposure: p.InitExposure,
 		iso:      p.InitISO,
+		adc:      adcFor(p.toneGamma(), p.QuantBits),
 	}
+	if p.OpticalBlurRows > 0 {
+		c.blurKernel = gaussianKernel(p.OpticalBlurRows)
+	}
+	if p.Vignetting != 0 {
+		c.dr2 = centerOffsets2(p.Rows)
+		c.dc2 = centerOffsets2(p.Cols)
+	}
+	return c
 }
 
 // Profile returns the camera's device profile.
@@ -391,11 +446,6 @@ func (c *Camera) Capture(w Source, start float64) *Frame {
 		RowTime:  p.RowTime,
 	}
 	gain := c.exposure * c.iso * p.Sensitivity
-	maxLevel := float64(int(1)<<p.QuantBits - 1)
-	gamma := p.ToneGamma
-	if gamma == 0 {
-		gamma = 1
-	}
 	// First pass: per-row sensed color (exposure integral through the
 	// color matrix), then optical blur across rows. The scratch rows
 	// come from a pool: captures run per-frame on hot decode paths and
@@ -409,32 +459,29 @@ func (c *Camera) Capture(w Source, start float64) *Frame {
 		radiance := w.Mean(t0, t0+c.exposure)
 		rowSensed[r] = applyMatrix(p.ColorMatrix, radiance).Scale(gain)
 	}
-	if p.OpticalBlurRows > 0 {
+	if c.blurKernel != nil {
 		blurred := getRowScratch(p.Rows)
 		defer putRowScratch(blurred)
-		blurRowsInto(*blurred, rowSensed, p.OpticalBlurRows)
+		blurRowsInto(*blurred, rowSensed, c.blurKernel)
 		rowSensed = *blurred
 	}
+	// Second pass: per pixel vignetting, noise (R, G, B draws in that
+	// order), saturation and the tone-curve ADC.
+	noisy := p.ShotNoise > 0 || p.ReadNoise > 0
+	sigmaRead := p.ReadNoise * (c.iso / 100)
+	q := c.adc
 	for r := 0; r < p.Rows; r++ {
 		sensed := rowSensed[r]
-		for col := 0; col < p.Cols; col++ {
+		row := f.Pix[r*p.Cols : (r+1)*p.Cols]
+		for col := range row {
 			v := sensed.Scale(c.falloff(r, col))
-			if p.ShotNoise > 0 || p.ReadNoise > 0 {
-				v = c.addNoise(v)
+			if noisy {
+				v.R = c.addNoise(v.R, sigmaRead)
+				v.G = c.addNoise(v.G, sigmaRead)
+				v.B = c.addNoise(v.B, sigmaRead)
 			}
 			v = v.Clamp()
-			if gamma != 1 {
-				v = colorspace.RGB{
-					R: math.Pow(v.R, gamma),
-					G: math.Pow(v.G, gamma),
-					B: math.Pow(v.B, gamma),
-				}
-			}
-			// ADC quantization.
-			v.R = math.Round(v.R*maxLevel) / maxLevel
-			v.G = math.Round(v.G*maxLevel) / maxLevel
-			v.B = math.Round(v.B*maxLevel) / maxLevel
-			f.Pix[r*p.Cols+col] = v
+			row[col] = colorspace.RGB{R: q.quantize(v.R), G: q.quantize(v.G), B: q.quantize(v.B)}
 		}
 	}
 	if !c.manual {
@@ -494,32 +541,37 @@ func (c *Camera) autoExpose(f *Frame) {
 // center, decreasing toward edges as 1/(1+v·r²)² (a standard cos⁴
 // approximation).
 func (c *Camera) falloff(row, col int) float64 {
-	p := c.profile
-	if p.Vignetting == 0 {
+	if c.dr2 == nil {
 		return 1
 	}
-	dr := (float64(row)/float64(p.Rows-1) - 0.5) * 2
-	dc := 0.0
-	if p.Cols > 1 {
-		dc = (float64(col)/float64(p.Cols-1) - 0.5) * 2
-	}
-	r2 := (dr*dr + dc*dc) / 2 // normalize corner distance to ~1
-	d := 1 + p.Vignetting*r2
+	r2 := (c.dr2[row] + c.dc2[col]) / 2 // normalize corner distance to ~1
+	d := 1 + c.profile.Vignetting*r2
 	return 1 / (d * d)
 }
 
-func (c *Camera) addNoise(v colorspace.RGB) colorspace.RGB {
-	p := c.profile
-	isoGain := c.iso / 100
-	sigmaRead := p.ReadNoise * isoGain
-	noise := func(x float64) float64 {
-		sigma := sigmaRead
-		if x > 0 {
-			sigma += p.ShotNoise * math.Sqrt(x)
-		}
-		return x + c.rng.NormFloat64()*sigma
+// centerOffsets2 returns, for each of n positions along one frame
+// axis, the squared offset from the axis center normalized to [-1, 1]
+// at the ends. A one-position axis has no offset.
+func centerOffsets2(n int) []float64 {
+	out := make([]float64, n)
+	if n == 1 {
+		return out
 	}
-	return colorspace.RGB{R: noise(v.R), G: noise(v.G), B: noise(v.B)}
+	for i := range out {
+		d := (float64(i)/float64(n-1) - 0.5) * 2
+		out[i] = d * d
+	}
+	return out
+}
+
+// addNoise returns x plus one Gaussian draw of its read and shot noise
+// (sigmaRead is the read-noise σ at the frame's ISO).
+func (c *Camera) addNoise(x, sigmaRead float64) float64 {
+	sigma := sigmaRead
+	if x > 0 {
+		sigma += c.profile.ShotNoise * math.Sqrt(x)
+	}
+	return x + c.rng.NormFloat64()*sigma
 }
 
 // rowScratch pools per-capture row buffers; distinct cameras may
@@ -547,13 +599,13 @@ func blurRows(rows []colorspace.RGB, sigma float64) []colorspace.RGB {
 		return rows
 	}
 	out := make([]colorspace.RGB, len(rows))
-	blurRowsInto(out, rows, sigma)
+	blurRowsInto(out, rows, gaussianKernel(sigma))
 	return out
 }
 
-// blurRowsInto is blurRows writing into a caller-owned buffer (dst
-// and rows must not alias; every dst element is overwritten).
-func blurRowsInto(dst, rows []colorspace.RGB, sigma float64) {
+// gaussianKernel returns the normalized Gaussian taps blurRowsInto
+// convolves with: radius round(3σ), at least 1.
+func gaussianKernel(sigma float64) []float64 {
 	radius := int(3*sigma + 0.5)
 	if radius < 1 {
 		radius = 1
@@ -568,6 +620,14 @@ func blurRowsInto(dst, rows []colorspace.RGB, sigma float64) {
 	for i := range kernel {
 		kernel[i] /= sum
 	}
+	return kernel
+}
+
+// blurRowsInto convolves rows with a gaussianKernel into a
+// caller-owned buffer (dst and rows must not alias; every dst element
+// is overwritten). Taps past either end repeat the edge row.
+func blurRowsInto(dst, rows []colorspace.RGB, kernel []float64) {
+	radius := len(kernel) / 2
 	for r := range rows {
 		var acc colorspace.RGB
 		for i, kv := range kernel {

@@ -47,6 +47,49 @@ func TestProfileValidation(t *testing.T) {
 	}
 }
 
+func TestProfileValidationRejectsSensorParams(t *testing.T) {
+	fields := map[string]func(*Profile, float64){
+		"ToneGamma":  func(p *Profile, v float64) { p.ToneGamma = v },
+		"Vignetting": func(p *Profile, v float64) { p.Vignetting = v },
+		"ReadNoise":  func(p *Profile, v float64) { p.ReadNoise = v },
+		"ShotNoise":  func(p *Profile, v float64) { p.ShotNoise = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := Nexus5()
+			set(&p, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+		p := Nexus5()
+		set(&p, 0)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s = 0 rejected: %v", name, err)
+		}
+	}
+}
+
+func TestOneRowProfileWithVignetting(t *testing.T) {
+	p := Ideal()
+	p.Rows, p.Cols = 1, 8
+	p.Vignetting = 0.4
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cam := New(p, 1)
+	cam.SetManual(100e-6, 100)
+	f := cam.Capture(steadyWaveform(t, colorspace.RGB{R: 0.02, G: 0.02, B: 0.02}, 0.2), 0.01)
+	for c := 0; c < f.Cols; c++ {
+		if px := f.At(0, c); math.IsNaN(px.R) || math.IsNaN(px.G) || math.IsNaN(px.B) {
+			t.Fatalf("pixel (0,%d) = %v", c, px)
+		}
+	}
+	if mid, edge := f.At(0, 3).R, f.At(0, 0).R; mid <= edge {
+		t.Errorf("center column %v not brighter than edge %v", mid, edge)
+	}
+}
+
 func TestLossRatiosMatchPaper(t *testing.T) {
 	// Table 1: Nexus 5 loss ratio 0.2312, iPhone 5S 0.3727.
 	if got := Nexus5().LossRatio(); math.Abs(got-0.2312) > 1e-6 {
@@ -438,17 +481,28 @@ func TestQuantization(t *testing.T) {
 	}
 }
 
-func BenchmarkCaptureNexus5(b *testing.B) {
-	p := Nexus5()
-	cam := New(p, 1)
-	cam.SetManual(500e-6, 100)
+// BenchmarkCapture times one auto-exposed frame per built-in profile
+// against a 2 kHz waveform.
+func BenchmarkCapture(b *testing.B) {
 	drives := make([]colorspace.RGB, 4000)
 	for i := range drives {
-		drives[i] = colorspace.RGB{R: float64(i%2) / 1, G: 0.5, B: 0.2}
+		drives[i] = colorspace.RGB{R: float64(i % 2), G: 0.5, B: 0.2}
 	}
-	w, _ := led.NewWaveform(led.Config{SymbolRate: 2000, Power: 1}, drives)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cam.Capture(w, 0.1)
+	w, err := led.NewWaveform(led.Config{SymbolRate: 2000, Power: 1}, drives)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"nexus5", "iphone5s", "ideal"} {
+		b.Run(name, func(b *testing.B) {
+			cam := New(Profiles()[name], 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchFrame = cam.Capture(w, 0.1)
+			}
+		})
 	}
 }
+
+// benchFrame keeps BenchmarkCapture's result live.
+var benchFrame *Frame
