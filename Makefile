@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke perfbench-check bench bench-json bench-gate golden cover
+.PHONY: ci vet cross build test race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke perfbench-check bench bench-json bench-gate golden cover
 
-# ci is the full gate: static checks, build, the test suite, a short
+# ci is the full gate: static checks (including a vet and test-binary
+# build of the non-amd64 code), build, the test suite, a short
 # fuzz smoke over every fuzz target, the race-enabled pass over the
 # concurrent pipeline (the packages where races can actually live),
 # the deterministic chaos soak, the adaptive-link chaos soak (the
@@ -16,10 +17,17 @@ GO ?= go
 # laptop (adapt-soak simulates 32 multi-second sessions and dominates).
 # The full-suite race run stays available as `make race` but is too
 # slow for the default gate.
-ci: vet build test fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak perfbench-check bench bench-gate
+ci: vet cross build test fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak perfbench-check bench bench-gate
 
 vet:
 	$(GO) vet ./...
+
+# cross vets the tree and compiles the modem's tests for arm64, the
+# only way the !amd64 files (the portable sumPix12 route) get built on
+# an amd64 host. The toolchain cross-compiles pure Go offline.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/modem/
 
 build:
 	$(GO) build ./...

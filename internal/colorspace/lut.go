@@ -2,20 +2,18 @@ package colorspace
 
 import "math"
 
-// This file is the vectorized fast path for the receiver's per-frame
-// color conversion: the sRGB inverse tone curve and the labF cube-root
-// transfer are tabulated once at startup, the RGB→XYZ matrix is
-// premultiplied by the reciprocal D65 white point, and whole scanline
-// planes are converted in one pass over flat []float64 slices.
+// This file is the fast path for the receiver's per-row color
+// conversion: the labF cube-root transfer is tabulated once at
+// startup and the RGB→XYZ matrix is premultiplied by the reciprocal
+// D65 white point.
 //
-// Accuracy contract (verified by TestLUTLabError / TestLUTDeltaE2000):
-// for inputs in [0, 1] the tabulated conversions stay within
-// LUTMaxDeltaE2000 of the exact LinearRGBToLab / sRGB chain. The modem
-// depends on this bound being far below its decision margins
-// (boundaryTheta = 8 ΔE, whiteMargin = 10), so decisions made on the
-// fast path agree with the exact scalar reference; the differential
-// golden-frame harness in internal/modem pins that equivalence
-// end-to-end.
+// Accuracy contract (verified by TestLUTLabError): for linear RGB
+// inputs in [0, 1]³ the tabulated conversion stays within
+// LUTMaxDeltaE2000 of the exact LinearRGBToLab. The modem depends on
+// this bound being far below its decision margins (boundaryTheta =
+// 8 ΔE, whiteMargin = 10), so decisions made on the fast path agree
+// with the exact scalar reference; the differential golden-frame
+// harness in internal/modem pins that equivalence end-to-end.
 
 const (
 	// labFTableSize is the number of cells tabulating labF over [0, 1].
@@ -25,20 +23,16 @@ const (
 	// amplified A channel (×500) stays within ~3e-4 of exact.
 	labFTableSize = 16384
 
-	// srgbTableSize tabulates the sRGB inverse tone curve over [0, 1].
-	srgbTableSize = 4096
-
 	// LUTMaxDeltaE2000 is the documented ceiling on the CIEDE2000
 	// difference between a LUT-converted Lab value and the exact
-	// conversion, for any sRGB input in [0, 1]³. The measured maximum
-	// over large random samples is below 2e-3; the constant leaves
-	// headroom for unlucky corners of the cube.
+	// conversion, for any linear RGB input in [0, 1]³. The measured
+	// maximum over large random samples is below 2e-3; the constant
+	// leaves headroom for unlucky corners of the cube.
 	LUTMaxDeltaE2000 = 5e-3
 )
 
 var (
 	labFTable [labFTableSize + 1]float64
-	srgbTable [srgbTableSize + 1]float64
 
 	// rgbToXYZRatio is the sRGB→XYZ matrix with each row pre-divided by
 	// the corresponding D65 white component, so the fast path computes
@@ -50,9 +44,6 @@ var (
 func init() {
 	for i := 0; i <= labFTableSize; i++ {
 		labFTable[i] = labF(float64(i) / labFTableSize)
-	}
-	for i := 0; i <= srgbTableSize; i++ {
-		srgbTable[i] = SRGBToLinear(float64(i) / srgbTableSize)
 	}
 	white := [3]float64{D65.X, D65.Y, D65.Z}
 	for r := 0; r < 3; r++ {
@@ -80,64 +71,17 @@ func labFFast(t float64) float64 {
 	return labFTable[i] + f*(labFTable[i+1]-labFTable[i])
 }
 
-// SRGBToLinearFast is the tabulated sRGB inverse tone curve with
-// linear interpolation; out-of-range inputs fall back to the exact
-// curve.
-func SRGBToLinearFast(v float64) float64 {
-	if v < 0 || v > 1 {
-		return SRGBToLinear(v)
-	}
-	x := v * srgbTableSize
-	i := int(x)
-	if i >= srgbTableSize {
-		return srgbTable[srgbTableSize]
-	}
-	f := x - float64(i)
-	return srgbTable[i] + f*(srgbTable[i+1]-srgbTable[i])
-}
-
-// linearToLabFast converts one linear RGB triple using the
-// premultiplied matrix and the labF table.
-func linearToLabFast(r, g, b float64) Lab {
-	fx := labFFast(rgbToXYZRatio[0][0]*r + rgbToXYZRatio[0][1]*g + rgbToXYZRatio[0][2]*b)
-	fy := labFFast(rgbToXYZRatio[1][0]*r + rgbToXYZRatio[1][1]*g + rgbToXYZRatio[1][2]*b)
-	fz := labFFast(rgbToXYZRatio[2][0]*r + rgbToXYZRatio[2][1]*g + rgbToXYZRatio[2][2]*b)
+// LinearRGBToLabFast is the tabulated counterpart of LinearRGBToLab:
+// premultiplied matrix plus labF lookup, D65 white. Its error bound is
+// documented at LUTMaxDeltaE2000.
+func LinearRGBToLabFast(c RGB) Lab {
+	fx := labFFast(rgbToXYZRatio[0][0]*c.R + rgbToXYZRatio[0][1]*c.G + rgbToXYZRatio[0][2]*c.B)
+	fy := labFFast(rgbToXYZRatio[1][0]*c.R + rgbToXYZRatio[1][1]*c.G + rgbToXYZRatio[1][2]*c.B)
+	fz := labFFast(rgbToXYZRatio[2][0]*c.R + rgbToXYZRatio[2][1]*c.G + rgbToXYZRatio[2][2]*c.B)
 	return Lab{
 		L: 116*fy - 16,
 		A: 500 * (fx - fy),
 		B: 200 * (fy - fz),
-	}
-}
-
-// LinearRGBToLabFast is the tabulated counterpart of LinearRGBToLab:
-// premultiplied matrix plus labF lookup, D65 white. Its error bound is
-// documented at LUTMaxDeltaE2000.
-func LinearRGBToLabFast(c RGB) Lab { return linearToLabFast(c.R, c.G, c.B) }
-
-// SRGBToLabFast converts a gamma-encoded sRGB color straight to Lab
-// through the fused tone-curve and labF tables.
-func SRGBToLabFast(c RGB) Lab {
-	return linearToLabFast(SRGBToLinearFast(c.R), SRGBToLinearFast(c.G), SRGBToLinearFast(c.B))
-}
-
-// LinearPlanesToLab converts flat linear-RGB planes to Lab planes in
-// one pass: l/a/b receive the Lab channels of each (r[i], g[i], bl[i])
-// triple. All six slices must have equal length; the destination
-// planes may not alias the sources. This is the columnar conversion
-// the modem's frame front end runs once per scanline block.
-func LinearPlanesToLab(l, a, b, r, g, bl []float64) {
-	_ = l[len(r)-1] // eliminate bounds checks in the loop below
-	_ = a[len(r)-1]
-	_ = b[len(r)-1]
-	_ = g[len(r)-1]
-	_ = bl[len(r)-1]
-	for i := range r {
-		fx := labFFast(rgbToXYZRatio[0][0]*r[i] + rgbToXYZRatio[0][1]*g[i] + rgbToXYZRatio[0][2]*bl[i])
-		fy := labFFast(rgbToXYZRatio[1][0]*r[i] + rgbToXYZRatio[1][1]*g[i] + rgbToXYZRatio[1][2]*bl[i])
-		fz := labFFast(rgbToXYZRatio[2][0]*r[i] + rgbToXYZRatio[2][1]*g[i] + rgbToXYZRatio[2][2]*bl[i])
-		l[i] = 116*fy - 16
-		a[i] = 500 * (fx - fy)
-		b[i] = 200 * (fy - fz)
 	}
 }
 

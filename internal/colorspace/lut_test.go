@@ -40,63 +40,17 @@ func TestLUTLabError(t *testing.T) {
 	t.Logf("worst linear-RGB LUT ΔE00 = %.3g (bound %g)", worst, LUTMaxDeltaE2000)
 }
 
-// TestLUTDeltaE2000 runs the satellite property: the max DeltaE2000
-// between LUT-converted and exact Lab over 10k random sRGB values
-// (through the fused tone-curve + labF tables) stays below the
-// documented epsilon.
-func TestLUTDeltaE2000(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	worst := 0.0
-	for i := 0; i < 10000; i++ {
-		c := RGB{rng.Float64(), rng.Float64(), rng.Float64()}
-		exact := LinearRGBToLab(c.Linearize())
-		fast := SRGBToLabFast(c)
-		if d := DeltaE2000(exact, fast); d > worst {
-			worst = d
-		}
-	}
-	if worst > LUTMaxDeltaE2000 {
-		t.Errorf("worst sRGB LUT ΔE00 = %g exceeds documented bound %g", worst, LUTMaxDeltaE2000)
-	}
-	t.Logf("worst sRGB LUT ΔE00 = %.3g (bound %g)", worst, LUTMaxDeltaE2000)
-}
-
-// TestLUTFallbacksExact: outside [0, 1] the tabulated transfers must
-// defer to the exact functions bit-for-bit.
+// TestLUTFallbacksExact: outside [0, 1] the tabulated transfer must
+// defer to the exact function bit-for-bit.
 func TestLUTFallbacksExact(t *testing.T) {
 	for _, v := range []float64{-2, -0.001, 1.0001, 3.7} {
 		if got, want := labFFast(v), labF(v); got != want {
 			t.Errorf("labFFast(%v) = %v, want exact %v", v, got, want)
 		}
-		if got, want := SRGBToLinearFast(v), SRGBToLinear(v); got != want {
-			t.Errorf("SRGBToLinearFast(%v) = %v, want exact %v", v, got, want)
-		}
 	}
-	// Endpoints hit table entries exactly: labF(0), labF(1), curve ends.
+	// Endpoints hit table entries exactly: labF(0), labF(1).
 	if labFFast(0) != labF(0) || labFFast(1) != labF(1) {
 		t.Error("labFFast endpoints do not match exact labF")
-	}
-	if SRGBToLinearFast(0) != 0 || math.Abs(SRGBToLinearFast(1)-1) > 1e-12 {
-		t.Error("SRGBToLinearFast endpoints off")
-	}
-}
-
-// TestLinearPlanesToLabMatchesScalar: the columnar conversion must be
-// bit-identical to the scalar fast conversion applied per element.
-func TestLinearPlanesToLabMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 513
-	r, g, b := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range r {
-		r[i], g[i], b[i] = rng.Float64(), rng.Float64(), rng.Float64()
-	}
-	l, a, bb := make([]float64, n), make([]float64, n), make([]float64, n)
-	LinearPlanesToLab(l, a, bb, r, g, b)
-	for i := range r {
-		want := LinearRGBToLabFast(RGB{r[i], g[i], b[i]})
-		if l[i] != want.L || a[i] != want.A || bb[i] != want.B {
-			t.Fatalf("plane[%d] = (%v,%v,%v), want %v", i, l[i], a[i], bb[i], want)
-		}
 	}
 }
 
@@ -141,24 +95,6 @@ func BenchmarkLinearRGBToLabFast(b *testing.B) {
 	c := RGB{0.3, 0.6, 0.1}
 	for i := 0; i < b.N; i++ {
 		_ = LinearRGBToLabFast(c)
-	}
-}
-
-func BenchmarkLinearPlanesToLab(b *testing.B) {
-	const n = 4096
-	r := make([]float64, n)
-	g := make([]float64, n)
-	bl := make([]float64, n)
-	for i := range r {
-		r[i] = float64(i) / n
-		g[i] = float64(n-i) / n
-		bl[i] = 0.5
-	}
-	l, a, bb := make([]float64, n), make([]float64, n), make([]float64, n)
-	b.SetBytes(n * 8 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LinearPlanesToLab(l, a, bb, r, g, bl)
 	}
 }
 

@@ -7,13 +7,15 @@ import (
 	"colorbars/internal/colorspace"
 )
 
-// FuzzStripSegment drives the receiver front end — band segmentation,
-// grid fitting, classification planning — with arbitrary strips and
-// grid geometries. None of it may panic: real frames always produce
+// FuzzStripSegment drives both front ends' back halves — band
+// segmentation, grid fitting, classification planning — with
+// arbitrary strips and grid geometries: the reference path
+// (reference_test.go) and the production columnar path on the same
+// Lab rows. None of it may panic: real frames always produce
 // non-degenerate strips, but the pipeline exposes Analyze to callers
 // and the fuzzer owns the degenerate corners (this target caught
 // classifyBands slicing bands[1:] on an empty band list, now guarded
-// in planBands).
+// in planBands and planInto).
 func FuzzStripSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{16, 8})
@@ -59,29 +61,50 @@ func FuzzStripSegment(f *testing.F) {
 				t.Fatalf("symbol %d differs: %v vs %v", i, syms[i], syms2[i])
 			}
 		}
+
+		s := getScratch(len(strip))
+		defer putScratch(s)
+		for i, r := range strip {
+			s.l[i], s.a[i], s.bb[i] = r.lab.L, r.lab.A, r.lab.B
+		}
+		a := getAnalysis()
+		defer recycleAnalysis(a)
+		s.planInto(a, s.segment(rowsPerSym, expRows), rowsPerSym)
+		newClassifier().emitSymbolsInto(nil, a)
 	})
 }
 
 // FuzzFrontEndDifferential pins the columnar front end's strip
-// extraction (flat planes + fused LUT conversion, with the packed
-// row-sum kernel when the width allows it) against the scalar
-// reference (RowMean + exact LinearRGBToLab) on arbitrary frames.
-// For any pixel content in [0,1]³ and any geometry — including widths
-// that force the kernel's scalar fallback — the per-row Lab values
-// must agree within the documented LUT ceiling. This is the
-// property-level sibling of the golden-frame harness: the harness
-// proves symbol/block equality on realistic captures, this target
-// hands the adversarial geometries to the fuzzer.
+// extraction (rowSum — the packed kernel over the multiple-of-4
+// prefix plus an in-order tail — and the LUT conversion) against the
+// scalar reference (RowMean + exact LinearRGBToLab) on arbitrary
+// frames. For any pixel content in [0,1]³ and any geometry — widths
+// below 4 that are all tail, multiples of 4 that are all kernel, and
+// everything in between — the per-row Lab values must agree within
+// the documented LUT ceiling. This is the property-level sibling of
+// the golden-frame harness: the harness proves symbol/block equality
+// on realistic captures, this target hands the adversarial geometries
+// to the fuzzer.
 func FuzzFrontEndDifferential(f *testing.F) {
+	// The frame width is 1 + cols8%32.
 	f.Add(uint8(24), []byte{})
-	// 2×4 frame on the kernel path.
-	f.Add(uint8(4), []byte{
+	// 2×4 frame: kernel only.
+	f.Add(uint8(3), []byte{
 		200, 10, 10, 200, 10, 10, 200, 10, 10, 200, 10, 10,
 		10, 200, 10, 10, 200, 10, 10, 200, 10, 10, 200, 10,
 	})
-	// Width 1 and width 7 force the scalar fallback.
-	f.Add(uint8(1), []byte{255, 0, 128, 0, 255, 3})
-	f.Add(uint8(7), []byte{90, 90, 90, 0, 0, 0, 255, 255, 255, 1, 2, 3, 40, 50, 60, 200, 10, 10, 5, 5, 5, 9, 9, 9, 77, 77, 77})
+	// Width 1 is all tail; width 7 is one kernel group plus a 3-pixel
+	// tail.
+	f.Add(uint8(0), []byte{255, 0, 128, 0, 255, 3})
+	f.Add(uint8(6), []byte{90, 90, 90, 0, 0, 0, 255, 255, 255, 1, 2, 3, 40, 50, 60, 200, 10, 10, 5, 5, 5, 9, 9, 9, 77, 77, 77})
+	// Kernel prefix plus a 1- or 3-pixel tail, three rows each.
+	for _, cols := range []int{5, 9, 27} {
+		data := make([]byte, 3*3*cols)
+		for i := range data {
+			data[i] = byte(i * 37)
+		}
+		f.Add(uint8(cols-1), data)
+	}
 	f.Fuzz(func(t *testing.T, cols8 uint8, data []byte) {
 		cols := 1 + int(cols8)%32
 		rows := len(data) / (3 * cols)

@@ -109,7 +109,9 @@ func goldenFrames(t testing.TB, sc goldenScenario) (*linkUnderTest, []*camera.Fr
 
 // goldenDecode replays frames through a fresh receiver for the
 // scenario, tapping every frame's classified symbols. reference
-// selects the scalar front end.
+// analyzes each frame with the scalar reference front end
+// (reference_test.go) and feeds the result through ProcessAnalysis;
+// otherwise frames go through ProcessFrame.
 func goldenDecode(t testing.TB, sc goldenScenario, l *linkUnderTest, frames []*camera.Frame, reference bool) ([][]packet.RxSymbol, []Block) {
 	t.Helper()
 	rx, err := NewReceiver(RxConfig{
@@ -121,14 +123,17 @@ func goldenDecode(t testing.TB, sc goldenScenario, l *linkUnderTest, frames []*c
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx.refFrontEnd = reference
 	var symbols [][]packet.RxSymbol
 	rx.symTap = func(syms []packet.RxSymbol) {
 		symbols = append(symbols, append([]packet.RxSymbol(nil), syms...))
 	}
 	var blocks []Block
 	for _, f := range frames {
-		blocks = append(blocks, rx.ProcessFrame(f)...)
+		if reference {
+			blocks = append(blocks, rx.ProcessAnalysis(rx.analyzeReference(f))...)
+		} else {
+			blocks = append(blocks, rx.ProcessFrame(f)...)
+		}
 	}
 	blocks = append(blocks, rx.Flush()...)
 	return symbols, blocks

@@ -2,43 +2,9 @@
 
 package modem
 
-import (
-	"unsafe"
+import "colorbars/internal/colorspace"
 
-	"colorbars/internal/colorspace"
-)
-
-// haveSIMDRowSum gates the packed row-sum kernel; without it
-// extractPlanes keeps its unrolled scalar loop.
-const haveSIMDRowSum = false
-
-// sumPix12 is the portable counterpart of the amd64 kernel: channel
-// sums over groups*4 consecutive pixels. Twelve lane accumulators
-// reproduce the packed registers' association order exactly, so the
-// result is bit-for-bit the assembly's.
+// sumPix12 runs the portable kernel where no assembly kernel exists.
 func sumPix12(p *colorspace.RGB, groups int) (sr, sg, sb float64) {
-	flat := unsafe.Slice((*float64)(unsafe.Pointer(p)), groups*12)
-	var l [12]float64
-	for i := 0; i+11 < len(flat); i += 12 {
-		for k := 0; k < 12; k++ {
-			l[k] += flat[i+k]
-		}
-	}
-	sr = (l[0] + l[6]) + (l[3] + l[9])
-	sg = (l[1] + l[7]) + (l[4] + l[10])
-	sb = (l[2] + l[8]) + (l[5] + l[11])
-	return sr, sg, sb
-}
-
-// sumPixPlanes is the portable whole-frame row-sum: one sumPix12 per
-// row into the output planes.
-func sumPixPlanes(p *colorspace.RGB, rows, groups int, scale float64, sr, sg, sb *float64) {
-	px := unsafe.Slice(p, rows*groups*4)
-	r := unsafe.Slice(sr, rows)
-	g := unsafe.Slice(sg, rows)
-	b := unsafe.Slice(sb, rows)
-	for i := 0; i < rows; i++ {
-		rr, gg, bb := sumPix12(&px[i*groups*4], groups)
-		r[i], g[i], b[i] = rr*scale, gg*scale, bb*scale
-	}
+	return sumPix12Go(p, groups)
 }

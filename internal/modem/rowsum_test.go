@@ -9,33 +9,71 @@ import (
 	"colorbars/internal/colorspace"
 )
 
-// TestSumPix12MatchesScalar pins the packed row-sum kernel against a
-// plain left-to-right fold: channel sums must agree to within
-// re-association rounding for random pixel data at several widths.
+// randomRow returns cols pixels with channels uniform in [0, 255).
+func randomRow(rng *rand.Rand, cols int) []colorspace.RGB {
+	px := make([]colorspace.RGB, cols)
+	for i := range px {
+		px[i] = colorspace.RGB{
+			R: rng.Float64() * 255,
+			G: rng.Float64() * 255,
+			B: rng.Float64() * 255,
+		}
+	}
+	return px
+}
+
+// TestSumPix12MatchesScalar pins the packed row-sum kernel, and the
+// rowSum wrapper the front end runs (kernel prefix plus in-order
+// tail), against a plain left-to-right fold: channel sums must agree
+// to within re-association rounding for random pixel data at several
+// kernel widths and at every row width from 1 to 33.
 func TestSumPix12MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	check := func(name string, cols, trial int, px []colorspace.RGB, gr, gg, gb float64) {
+		t.Helper()
+		var wr, wg, wb float64
+		for _, p := range px {
+			wr += p.R
+			wg += p.G
+			wb += p.B
+		}
+		const tol = 1e-9
+		if math.Abs(gr-wr) > tol*math.Max(1, wr) ||
+			math.Abs(gg-wg) > tol*math.Max(1, wg) ||
+			math.Abs(gb-wb) > tol*math.Max(1, wb) {
+			t.Fatalf("%s cols=%d trial=%d: (%g,%g,%g) vs scalar (%g,%g,%g)",
+				name, cols, trial, gr, gg, gb, wr, wg, wb)
+		}
+	}
 	for _, cols := range []int{4, 8, 24, 96, 400} {
 		for trial := 0; trial < 50; trial++ {
-			px := make([]colorspace.RGB, cols)
-			for i := range px {
-				px[i] = colorspace.RGB{
-					R: rng.Float64() * 255,
-					G: rng.Float64() * 255,
-					B: rng.Float64() * 255,
-				}
-			}
-			var wr, wg, wb float64
-			for _, p := range px {
-				wr += p.R
-				wg += p.G
-				wb += p.B
-			}
+			px := randomRow(rng, cols)
 			gr, gg, gb := sumPix12(&px[0], cols/4)
-			const tol = 1e-9
-			if math.Abs(gr-wr) > tol*math.Max(1, wr) ||
-				math.Abs(gg-wg) > tol*math.Max(1, wg) ||
-				math.Abs(gb-wb) > tol*math.Max(1, wb) {
-				t.Fatalf("cols=%d trial=%d: kernel (%g,%g,%g) vs scalar (%g,%g,%g)",
+			check("sumPix12", cols, trial, px, gr, gg, gb)
+		}
+	}
+	for cols := 1; cols <= 33; cols++ {
+		for trial := 0; trial < 20; trial++ {
+			px := randomRow(rng, cols)
+			gr, gg, gb := rowSum(px)
+			check("rowSum", cols, trial, px, gr, gg, gb)
+		}
+	}
+}
+
+// TestSumPix12MatchesPortable pins the architecture's sumPix12 against
+// the portable twelve-lane kernel bit for bit, so row sums (and every
+// decision downstream of them) do not depend on the build target. On
+// amd64 this compares the SSE2 assembly against Go.
+func TestSumPix12MatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for cols := 4; cols <= 400; cols += 4 {
+		for trial := 0; trial < 5; trial++ {
+			px := randomRow(rng, cols)
+			gr, gg, gb := sumPix12(&px[0], cols/4)
+			wr, wg, wb := sumPix12Go(&px[0], cols/4)
+			if gr != wr || gg != wg || gb != wb {
+				t.Fatalf("cols=%d trial=%d: sumPix12 (%v,%v,%v) vs portable (%v,%v,%v)",
 					cols, trial, gr, gg, gb, wr, wg, wb)
 			}
 		}
@@ -92,30 +130,6 @@ func TestOrderStatExact(t *testing.T) {
 				}
 			}
 			putScratch(s)
-		}
-	}
-}
-
-// TestSumPixPlanesMatchesPerRow pins the whole-frame kernel against
-// per-row sumPix12 calls bit-for-bit.
-func TestSumPixPlanesMatchesPerRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, dim := range []struct{ rows, cols int }{{1, 4}, {3, 8}, {17, 24}, {100, 4}} {
-		px := make([]colorspace.RGB, dim.rows*dim.cols)
-		for i := range px {
-			px[i] = colorspace.RGB{R: rng.Float64(), G: rng.Float64(), B: rng.Float64()}
-		}
-		r := make([]float64, dim.rows)
-		g := make([]float64, dim.rows)
-		b := make([]float64, dim.rows)
-		sumPixPlanes(&px[0], dim.rows, dim.cols/4, 0.5, &r[0], &g[0], &b[0])
-		for i := 0; i < dim.rows; i++ {
-			wr, wg, wb := sumPix12(&px[i*dim.cols], dim.cols/4)
-			wr, wg, wb = wr*0.5, wg*0.5, wb*0.5
-			if r[i] != wr || g[i] != wg || b[i] != wb {
-				t.Fatalf("%dx%d row %d: planes (%v,%v,%v) vs per-row (%v,%v,%v)",
-					dim.rows, dim.cols, i, r[i], g[i], b[i], wr, wg, wb)
-			}
 		}
 	}
 }

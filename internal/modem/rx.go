@@ -318,10 +318,6 @@ type Receiver struct {
 	distGauge *telemetry.Gauge // rx.classify_distance
 	syncGauge *telemetry.Gauge // rx.sync_state (0 locked, 1 degraded)
 
-	// refFrontEnd routes frames through the scalar reference front end
-	// (strip.go) instead of the columnar one. Only the differential
-	// test harness flips it; both paths feed the identical back half.
-	refFrontEnd bool
 	// symTap, when set, observes each frame's classified symbols before
 	// deframing. The slice is scratch, valid only during the call.
 	// Test-only instrumentation.
@@ -736,12 +732,7 @@ func (r *Receiver) ProcessFrame(f *camera.Frame) []Block {
 	defer frame.End()
 	r.c.frames.Inc()
 
-	var a *Analysis
-	if r.refFrontEnd {
-		a = r.analyzeReference(frame, f)
-	} else {
-		a = r.analyzeFast(frame, f)
-	}
+	a := r.analyzeFast(frame, f)
 
 	sp := frame.StartChild("rx.classify")
 	r.symBuf = r.cls.emitSymbolsInto(r.symBuf[:0], a)
@@ -762,9 +753,6 @@ func (r *Receiver) ProcessFrame(f *camera.Frame) []Block {
 func (r *Receiver) Analyze(f *camera.Frame) *Analysis {
 	parent := r.tel.StartSpan("rx.analyze")
 	defer parent.End()
-	if r.refFrontEnd {
-		return r.analyzeReference(parent, f)
-	}
 	return r.analyzeFast(parent, f)
 }
 

@@ -8,27 +8,40 @@ import (
 	"colorbars/internal/colorspace"
 	"colorbars/internal/led"
 	"colorbars/internal/packet"
+	"colorbars/internal/telemetry"
 )
 
-// syntheticStrip builds a strip of len(colors) segments, each segWidth
-// rows of the given linear RGB color.
-func syntheticStrip(colors []colorspace.RGB, segWidth int) []stripRow {
-	var rows []stripRow
-	for _, c := range colors {
+// syntheticPlanes returns a frame scratch whose Lab planes hold
+// len(colors) segments, each segWidth rows of the given linear RGB
+// color. The caller returns it with putScratch.
+func syntheticPlanes(colors []colorspace.RGB, segWidth int) *frameScratch {
+	s := getScratch(len(colors) * segWidth)
+	for i, c := range colors {
 		lab := colorspace.LinearRGBToLab(c)
-		for i := 0; i < segWidth; i++ {
-			rows = append(rows, stripRow{lab: lab})
+		for r := i * segWidth; r < (i+1)*segWidth; r++ {
+			s.l[r], s.a[r], s.bb[r] = lab.L, lab.A, lab.B
 		}
 	}
-	return rows
+	return s
+}
+
+// columnarSymbols runs the production front end on one frame
+// (analyzeFast, then emitSymbolsInto against cls) for a link at the
+// given symbol rate.
+func columnarSymbols(f *camera.Frame, rate float64, cls *classifier) []packet.RxSymbol {
+	r := &Receiver{cfg: RxConfig{SymbolRate: rate}}
+	a := r.analyzeFast(telemetry.Span{}, f)
+	defer recycleAnalysis(a)
+	return cls.emitSymbolsInto(nil, a)
 }
 
 func TestSegmentBandsCleanEdges(t *testing.T) {
 	colors := []colorspace.RGB{
 		{R: 0.5}, {G: 0.5}, {B: 0.5}, {R: 0.5, G: 0.5, B: 0.5},
 	}
-	strip := syntheticStrip(colors, 40)
-	bands := segmentBands(strip, 40, 2)
+	s := syntheticPlanes(colors, 40)
+	defer putScratch(s)
+	bands := s.segment(40, 2)
 	if len(bands) != 4 {
 		t.Fatalf("got %d bands, want 4", len(bands))
 	}
@@ -47,8 +60,9 @@ func TestSegmentBandsMergesIdenticalNeighbors(t *testing.T) {
 	// Two adjacent identical segments must come back as ONE band
 	// (split again later by width).
 	colors := []colorspace.RGB{{R: 0.5}, {R: 0.5}, {G: 0.5}}
-	strip := syntheticStrip(colors, 40)
-	bands := segmentBands(strip, 40, 2)
+	s := syntheticPlanes(colors, 40)
+	defer putScratch(s)
+	bands := s.segment(40, 2)
 	if len(bands) != 2 {
 		t.Fatalf("got %d bands, want 2", len(bands))
 	}
@@ -58,7 +72,9 @@ func TestSegmentBandsMergesIdenticalNeighbors(t *testing.T) {
 }
 
 func TestSegmentBandsEmpty(t *testing.T) {
-	if got := segmentBands(nil, 10, 2); got != nil {
+	s := getScratch(0)
+	defer putScratch(s)
+	if got := s.segment(10, 2); len(got) != 0 {
 		t.Errorf("empty strip produced %v", got)
 	}
 }
@@ -66,7 +82,7 @@ func TestSegmentBandsEmpty(t *testing.T) {
 func TestMergeSimilarBandsWeighting(t *testing.T) {
 	a := band{start: 0, end: 30, lab: colorspace.Lab{L: 10}}
 	b := band{start: 30, end: 40, lab: colorspace.Lab{L: 14}}
-	merged := mergeSimilarBands([]band{a, b})
+	merged := mergeSimilarBandsSq([]band{a, b})
 	if len(merged) != 1 {
 		t.Fatalf("got %d bands", len(merged))
 	}
@@ -82,7 +98,7 @@ func TestMergeSimilarBandsWeighting(t *testing.T) {
 func TestMergeSimilarBandsKeepsDistinct(t *testing.T) {
 	a := band{start: 0, end: 30, lab: colorspace.Lab{L: 10}}
 	b := band{start: 30, end: 60, lab: colorspace.Lab{L: 80}}
-	if got := mergeSimilarBands([]band{a, b}); len(got) != 2 {
+	if got := mergeSimilarBandsSq([]band{a, b}); len(got) != 2 {
 		t.Fatalf("distinct bands merged: %d", len(got))
 	}
 }
@@ -116,21 +132,28 @@ func TestClassifierWhiteVsDataByNearest(t *testing.T) {
 }
 
 func TestAdaptOffLevelScalesWithBrightness(t *testing.T) {
-	bright := syntheticStrip([]colorspace.RGB{{R: 1, G: 1, B: 1}}, 100)
-	high := offLevelFor(bright)
-	dim := syntheticStrip([]colorspace.RGB{{R: 0.02, G: 0.02, B: 0.02}}, 100)
-	low := offLevelFor(dim)
+	bright := syntheticPlanes([]colorspace.RGB{{R: 1, G: 1, B: 1}}, 100)
+	high := bright.offLevel()
+	putScratch(bright)
+	dim := syntheticPlanes([]colorspace.RGB{{R: 0.02, G: 0.02, B: 0.02}}, 100)
+	low := dim.offLevel()
+	putScratch(dim)
 	if high <= low {
 		t.Errorf("off level did not scale: bright %v, dim %v", high, low)
 	}
 	if low < 8 {
 		t.Errorf("off level floor violated: %v", low)
 	}
-	// Empty strips are the caller's (planBands') problem: it skips the
+	// Empty strips are the caller's (planInto's) problem: it skips the
 	// off-level fit entirely and the classifier keeps its previous value.
+	empty := getScratch(0)
+	defer putScratch(empty)
+	a := getAnalysis()
+	defer recycleAnalysis(a)
+	empty.planInto(a, nil, 10)
 	cls := newClassifier()
 	before := cls.offLevel
-	cls.emitSymbols(planBands(nil, nil, 10))
+	cls.emitSymbolsInto(nil, a)
 	if cls.offLevel != before {
 		t.Errorf("empty strip changed off level: %v -> %v", before, cls.offLevel)
 	}
@@ -154,8 +177,7 @@ func TestFrameSymbolsSplitsMergedRuns(t *testing.T) {
 	}
 	w := mustWaveform(t, rate, drives)
 	f := cam.Capture(w, 0)
-	cls := newClassifier()
-	syms := frameSymbols(f, 1/(rate*f.RowTime), cls)
+	syms := columnarSymbols(f, rate, newClassifier())
 	// Expect roughly activeTime*rate symbols with pattern RRG.
 	want := int(prof.ActiveTime() * rate)
 	if math.Abs(float64(len(syms)-want)) > 2 {
@@ -196,8 +218,7 @@ func TestFrameSymbolsDropsEdgeFragments(t *testing.T) {
 	w := mustWaveform(t, rate, drives)
 	// Start mid-symbol so an edge fragment exists.
 	f := cam.Capture(w, 0.4/rate)
-	cls := newClassifier()
-	syms := frameSymbols(f, 1/(rate*f.RowTime), cls)
+	syms := columnarSymbols(f, rate, newClassifier())
 	want := prof.ActiveTime() * rate
 	if float64(len(syms)) > want+2 {
 		t.Errorf("edge fragments inflated symbol count: %d > ~%v", len(syms), want)
