@@ -132,22 +132,20 @@ cover:
 bench:
 	$(GO) test -run=- -bench='BenchmarkProcessFrame|BenchmarkCapture' -benchtime=1x ./...
 
-# bench-json measures the receiver decode trajectory (ns/frame, B/op,
-# allocs/op, ground-truth SER per operating point, the adaptive link's
-# goodput under chaos, the ingest service's p99 submit-to-decode
-# latency at saturation, and the dense ladder's goodput under chaos
-# with its never-gated equalizer-confidence context cell) and writes
-# the dated point
-# bench/BENCH_<today>.json. Commit the file to extend the trajectory;
-# bench-gate diffs against the newest committed point.
+# bench-json measures every benchmark trajectory cell (decode
+# ns/frame, allocs/op, SER and goodput per operating point, the
+# adaptive and dense ladders' goodput under chaos, the ingest
+# service's p99 at saturation, plus never-gated context such as B/op
+# and shed rate) and writes a host-stamped point
+# bench/BENCH_<today>.json. Commit the file to extend the trajectory.
 bench-json:
-	$(GO) run ./cmd/colorbars-bench -exp perf -duration 1 -adapt -ingest -dense -bench-out bench
+	$(GO) run ./cmd/colorbars-bench -exp perf -duration 1 -bench-out bench
 
-# bench-gate fails (exit 1) when any trajectory metric regresses more
-# than 10% against the newest bench/BENCH_*.json — including the
-# goodput_chaos and goodput_dense capacity cells, whose bad direction
-# is down. Sanity-
-# check the gate itself with:  go run ./cmd/colorbars-bench -exp perf \
-#   -duration 1 -adapt -bench-gate bench -handicap 2   (must fail).
+# bench-gate fails (exit 1) when any gated metric moves more than 10%
+# in its declared bad direction (plus its declared absolute slack)
+# against the newest bench/BENCH_*.json recorded on this host, or when
+# a baseline metric is missing. With no point for this host it fails
+# and names the host: run bench-json there first. The gate's own
+# self-test is TestGateSelfTest in cmd/colorbars-bench.
 bench-gate:
-	$(GO) run ./cmd/colorbars-bench -exp perf -duration 1 -adapt -ingest -dense -bench-gate bench
+	$(GO) run ./cmd/colorbars-bench -exp perf -duration 1 -bench-gate bench

@@ -8,8 +8,7 @@
 //	colorbars-bench [-exp all|table1|fig3b|fig3c|fig6|fig8b|grid|baseline|ablations|distance|pipeline|fault|perf|density]
 //	                [-duration seconds] [-seed n] [-workers n]
 //	                [-telemetry-addr host:port] [-trace file.jsonl]
-//	                [-bench-out dir] [-bench-gate dir] [-handicap x]
-//	                [-adapt] [-ingest] [-dense]
+//	                [-bench-out dir] [-bench-gate dir]
 //
 // The pipeline experiment (not part of "all") compares serial decode
 // time against the concurrent pipeline at several worker counts on
@@ -18,20 +17,16 @@
 // fault experiment (also not part of "all") soaks the link under one
 // impairment of every fault class (internal/fault) and reports the
 // receiver's recovery behaviour. The perf experiment (also not part
-// of "all") measures the receiver's decode cost and ground-truth SER
-// at the trajectory operating points; -bench-out writes the dated
-// BENCH_<date>.json point, -bench-gate compares against the newest
-// baseline in a directory and exits non-zero on regression, and
-// -handicap multiplies the measured costs to prove the gate trips.
-// With -adapt, the perf experiment also runs the closed-loop adaptive
-// link through the soak chaos geometry and records its goodput as the
-// goodput_chaos trajectory cell (lower-is-worse in the gate). With
-// -ingest, it drives a loadgen fleet against an in-process ingest
-// service and records the p99 submit-to-decode latency at saturation
-// as the ingest_p99_us cell (higher-is-worse). With -dense, it runs
-// the dense-ladder adaptive link (64-CSK top rung, equalizer-gated)
-// through an occlusion burst and records the goodput_dense cell
-// (lower-is-worse) plus the never-gated eq_confidence context cell.
+// of "all") measures every benchmark trajectory cell: the receiver's
+// decode cost, ground-truth SER and goodput at three Nexus 5 operating
+// points, the adaptive link's goodput through the soak chaos geometry
+// (goodput_chaos), the ingest service's p99 submit-to-decode latency
+// at saturation (ingest_p99_us), and the dense-ladder link's goodput
+// through an occlusion burst (goodput_dense, with the never-gated
+// eq_confidence context cell). -bench-out writes the host-stamped
+// BENCH_<date>.json point; -bench-gate compares against the newest
+// point in a directory measured on this host and exits non-zero on a
+// regression, or when no such point exists.
 package main
 
 import (
@@ -73,20 +68,12 @@ func run() error {
 	telemetryAddr := flag.String("telemetry-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address (empty = off)")
 	tracePath := flag.String("trace", "", "write a JSONL trace of every stage span and counter to this file")
 	benchOut := flag.String("bench-out", "", "with -exp perf: write the dated BENCH_<date>.json trajectory point into this directory")
-	benchGate := flag.String("bench-gate", "", "with -exp perf: gate against the newest BENCH_*.json in this directory, exiting non-zero on regression")
-	handicap := flag.Float64("handicap", 1, "with -exp perf: multiply measured costs by this factor (gate self-test)")
-	adapt := flag.Bool("adapt", false, "with -exp perf: also measure the adaptive link's goodput under chaos (the goodput_chaos trajectory cell)")
-	ingestBench := flag.Bool("ingest", false, "with -exp perf: also measure the ingest service's p99 submit-to-decode latency at saturation (the ingest_p99_us trajectory cell)")
-	denseBench := flag.Bool("dense", false, "with -exp perf: also measure the dense-ladder adaptive link's goodput under chaos (the goodput_dense and eq_confidence trajectory cells)")
+	benchGate := flag.String("bench-gate", "", "with -exp perf: gate against the newest BENCH_*.json in this directory measured on this host, exiting non-zero on regression")
 	flag.Parse()
 	csvOutDir = *csvDir
 	decodeWorkers = *workers
 	benchOutDir = *benchOut
 	benchGateDir = *benchGate
-	benchHandicap = *handicap
-	benchAdapt = *adapt
-	benchIngest = *ingestBench
-	benchDense = *denseBench
 
 	runners := map[string]func(float64, int64) error{
 		"table1":    runTable1,
